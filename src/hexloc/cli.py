@@ -121,7 +121,7 @@ def cmd_aoa(args) -> int:
 
 def cmd_localize(args) -> int:
     try:
-        arrays, wav_paths, model, _ = hio.load_manifest(args.manifest)
+        arrays, wav_paths, model, manifest = hio.load_manifest(args.manifest)
     except FileNotFoundError:
         return _fail(EXIT_IO, f"cannot read {args.manifest}")
     except (SceneConfigError, json.JSONDecodeError) as exc:
@@ -135,6 +135,12 @@ def cmd_localize(args) -> int:
         return _fail(EXIT_IO, str(exc))
     except SceneConfigError as exc:
         return _fail(EXIT_USAGE, str(exc))
+    if "sample_rate_hz" in manifest:
+        for path, rec in zip(wav_paths, recs):
+            if rec.sample_rate != model.sample_rate:
+                return _fail(EXIT_USAGE,
+                             f"{path} has sample rate {rec.sample_rate:g} Hz, "
+                             f"manifest declares {model.sample_rate:g} Hz")
 
     config = _config_from_args(args)
     try:

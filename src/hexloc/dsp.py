@@ -8,6 +8,7 @@ microphone 1 first.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,13 +70,14 @@ class MultichannelRecording:
     def num_samples(self) -> int:
         return self.samples.shape[1]
 
-    def channel(self, index: int) -> RealSignal:
-        return RealSignal(self.samples[index], self.sample_rate)
-
 
 @dataclass(frozen=True)
 class Spectrum:
-    """One-sided spectrum of a real signal of ``origin_length`` samples."""
+    """One-sided spectrum of a real signal of ``origin_length`` samples.
+
+    ``bins`` may carry leading batch axes, shape (..., origin_length // 2 + 1);
+    every row then shares the same layout (bin spacing and origin length).
+    """
 
     bins: np.ndarray
     bin_spacing: float
@@ -85,19 +87,36 @@ class Spectrum:
         bins = np.asarray(self.bins, dtype=complex)
         object.__setattr__(self, "bins", bins)
         expected = self.origin_length // 2 + 1
-        if bins.shape != (expected,):
+        if bins.ndim < 1 or bins.shape[-1] != expected:
             raise ValueError(
                 f"one-sided spectrum of length-{self.origin_length} signal "
                 f"needs {expected} bins, got {bins.shape}")
-        scale = max(1.0, float(np.max(np.abs(bins)))) if bins.size else 1.0
-        if abs(bins[0].imag) > 1e-9 * scale:
+        scale = np.maximum(1.0, np.max(np.abs(bins), axis=-1, initial=0.0))
+        if np.any(np.abs(bins[..., 0].imag) > 1e-9 * scale):
             raise ValueError("DC bin of a real-signal spectrum must be real")
-        if self.origin_length % 2 == 0 and abs(bins[-1].imag) > 1e-9 * scale:
+        if self.origin_length % 2 == 0 \
+                and np.any(np.abs(bins[..., -1].imag) > 1e-9 * scale):
             raise ValueError("Nyquist bin of a real-signal spectrum must be real")
 
     @property
     def frequencies(self) -> np.ndarray:
-        return np.arange(self.bins.size) * self.bin_spacing
+        return np.arange(self.bins.shape[-1]) * self.bin_spacing
+
+    def rows(self, index) -> Spectrum:
+        """The spectra at ``index`` along the leading batch axis."""
+        return _derived(self.bins[index], self.bin_spacing, self.origin_length)
+
+
+def _derived(bins: np.ndarray, bin_spacing: float,
+             origin_length: int) -> Spectrum:
+    """A spectrum computed here from valid input, built without the O(n)
+    real-DC/Nyquist re-check: a real signal's spectrum keeps those bins real
+    through every kernel in this module."""
+    out = object.__new__(Spectrum)
+    object.__setattr__(out, "bins", bins)
+    object.__setattr__(out, "bin_spacing", bin_spacing)
+    object.__setattr__(out, "origin_length", origin_length)
+    return out
 
 
 @dataclass(frozen=True)
@@ -129,13 +148,18 @@ class CorrelationFunction:
         return (np.arange(self.values.size) - self.center) * self.lag_spacing
 
 
-def real_spectrum(signal: RealSignal, nfft: int | None = None) -> Spectrum:
-    """Forward one-sided FFT of a real signal, optionally zero-padded."""
-    n = int(nfft) if nfft is not None else signal.samples.size
-    if n < signal.samples.size:
+def real_spectrum(signal: RealSignal | MultichannelRecording,
+                  nfft: int | None = None) -> Spectrum:
+    """Forward one-sided FFT of a real signal, optionally zero-padded.
+
+    Works row by row: a recording's (channels, samples) matrix yields a
+    stacked spectrum with one row per channel.
+    """
+    length = signal.samples.shape[-1]
+    n = int(nfft) if nfft is not None else length
+    if n < length:
         raise ValueError("nfft must be >= signal length")
-    return Spectrum(bins=np.fft.rfft(signal.samples, n=n),
-                    bin_spacing=signal.sample_rate / n, origin_length=n)
+    return _derived(np.fft.rfft(signal.samples, n=n), signal.sample_rate / n, n)
 
 
 def inverse_real_spectrum(spectrum: Spectrum) -> np.ndarray:
@@ -143,7 +167,8 @@ def inverse_real_spectrum(spectrum: Spectrum) -> np.ndarray:
     return np.fft.irfft(spectrum.bins, n=spectrum.origin_length)
 
 
-def bandpass(signal: RealSignal, low_hz: float, high_hz: float) -> RealSignal:
+def bandpass(signal: RealSignal | MultichannelRecording, low_hz: float,
+             high_hz: float) -> RealSignal | MultichannelRecording:
     """Linear-phase FIR band-pass, then gain normalization by the input peak.
 
     The filter is a Kaiser windowed-sinc designed for >= 60 dB stopband
@@ -152,6 +177,9 @@ def bandpass(signal: RealSignal, low_hz: float, high_hz: float) -> RealSignal:
     inter-channel delays, which are the measured quantity downstream. The
     output is scaled so the input peak maps to unit amplitude, equalizing
     per-device gain without masking stopband attenuation.
+
+    A recording is filtered row by row with one filter design, each channel
+    normalized by its own peak; an all-zero channel stays zero.
     """
     fs = signal.sample_rate
     nyq = fs / 2.0
@@ -160,9 +188,7 @@ def bandpass(signal: RealSignal, low_hz: float, high_hz: float) -> RealSignal:
             f"band edges must satisfy 0 <= low < high <= {nyq}, "
             f"got [{low_hz}, {high_hz}]")
     x = signal.samples
-    peak = float(np.max(np.abs(x)))
-    if peak == 0.0:
-        return RealSignal(np.zeros_like(x), fs)
+    peak = np.max(np.abs(x), axis=-1, keepdims=True)
 
     # Transition width: narrow enough that typical interferers (e.g. mains
     # hum below a 300 Hz edge) fall in the stopband, wide enough to keep the
@@ -172,7 +198,7 @@ def bandpass(signal: RealSignal, low_hz: float, high_hz: float) -> RealSignal:
         candidates.append(0.8 * low_hz)
     if high_hz < nyq:
         candidates.append(0.8 * (nyq - high_hz))
-    width = max(min(candidates), 2.0 * fs / x.size, 1.0)
+    width = max(min(candidates), 2.0 * fs / x.shape[-1], 1.0)
 
     ntaps, beta = kaiserord(STOPBAND_ATTEN_DB, width / nyq)
     ntaps += (ntaps + 1) % 2  # odd length: integer group delay, type I
@@ -184,46 +210,47 @@ def bandpass(signal: RealSignal, low_hz: float, high_hz: float) -> RealSignal:
     else:
         taps = firwin(ntaps, [low_hz, high_hz], window=("kaiser", beta),
                       pass_zero=False, fs=fs)
-    filtered = fftconvolve(x, taps, mode="same")
-    return RealSignal(filtered / peak, fs)
+    filtered = fftconvolve(x, taps.reshape((1,) * (x.ndim - 1) + taps.shape),
+                           mode="same", axes=-1)
+    return type(signal)(filtered / np.where(peak > 0.0, peak, 1.0), fs)
 
 
 def bandpass_recording(rec: MultichannelRecording, low_hz: float,
                        high_hz: float) -> MultichannelRecording:
     """Apply :func:`bandpass` to every channel of a recording."""
-    rows = [bandpass(rec.channel(i), low_hz, high_hz).samples
-            for i in range(rec.num_channels)]
-    return MultichannelRecording(np.stack(rows), rec.sample_rate)
+    return bandpass(rec, low_hz, high_hz)
 
 
 def cross_power(a: Spectrum, b: Spectrum) -> Spectrum:
-    """Bin-wise cross-power spectrum a * conj(b)."""
+    """Bin-wise cross-power spectrum a * conj(b), row by row."""
     if a.bins.shape != b.bins.shape or a.bin_spacing != b.bin_spacing \
             or a.origin_length != b.origin_length:
         raise ValueError("cross_power requires identically shaped spectra")
-    return Spectrum(bins=a.bins * np.conj(b.bins),
-                    bin_spacing=a.bin_spacing, origin_length=a.origin_length)
+    # conj(b) times a, in place: numpy's SIMD complex product is not bitwise
+    # commutative, and one fixed order keeps a row's bits independent of the
+    # batch size (numpy reuses large temporaries in place, operands swapped)
+    bins = np.conj(b.bins)
+    bins *= a.bins
+    return _derived(bins, a.bin_spacing, a.origin_length)
 
 
 def phat_weight(g: Spectrum, epsilon: float = PHAT_EPSILON) -> Spectrum:
     """Whiten a cross-power spectrum to unit magnitude, keeping only phase.
 
-    ``epsilon`` is relative to the peak bin magnitude and guards the
-    division; bins that are exactly zero stay zero.
+    Works row by row. ``epsilon`` is relative to the row's peak bin
+    magnitude and guards the division; bins that are exactly zero stay zero.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     mag = np.abs(g.bins)
-    peak = float(mag.max())
-    if peak == 0.0:
-        return g
-    whitened = g.bins / np.maximum(mag, epsilon * peak)
-    return Spectrum(bins=whitened, bin_spacing=g.bin_spacing,
-                    origin_length=g.origin_length)
+    peak = np.max(mag, axis=-1, keepdims=True)
+    # an all-zero row divides by 1 and stays zero
+    np.maximum(mag, np.where(peak > 0.0, epsilon * peak, 1.0), out=mag)
+    return _derived(g.bins / mag, g.bin_spacing, g.origin_length)
 
 
 def band_limit(spectrum: Spectrum, low_hz: float, high_hz: float) -> Spectrum:
-    """Zero every bin outside [low_hz, high_hz].
+    """Zero every bin outside [low_hz, high_hz], row by row.
 
     Band-limited signals carry no delay information outside their band, only
     window-truncation leakage that PHAT would otherwise re-amplify to unit
@@ -234,36 +261,13 @@ def band_limit(spectrum: Spectrum, low_hz: float, high_hz: float) -> Spectrum:
         raise ValueError(f"invalid band [{low_hz}, {high_hz}]")
     freqs = spectrum.frequencies
     bins = np.where((freqs >= low_hz) & (freqs <= high_hz), spectrum.bins, 0.0)
-    return Spectrum(bins=bins, bin_spacing=spectrum.bin_spacing,
-                    origin_length=spectrum.origin_length)
+    return _derived(bins, spectrum.bin_spacing, spectrum.origin_length)
 
 
 def correlation_support_steps(origin_length: int, upsample_factor: int) -> int:
     """Largest |lag| index the centered correlation function can represent."""
     n_up = origin_length * upsample_factor
     return n_up // 2 - 1 if n_up % 2 == 0 else (n_up - 1) // 2
-
-
-def _correlation_bins(phi: Spectrum, upsample_factor: int) -> np.ndarray:
-    """Original-resolution one-sided correlation spectrum: conjugated so a
-    delayed second channel yields a positive-lag peak, the Nyquist bin
-    halved when upsampling makes it an interior bin."""
-    bins = np.conj(phi.bins)
-    if upsample_factor > 1 and phi.origin_length % 2 == 0:
-        bins = bins.copy()
-        bins[phi.origin_length // 2] *= 0.5  # split across +-f_nyquist
-    return bins
-
-
-def _upsampled_bins(phi: Spectrum, upsample_factor: int) -> np.ndarray:
-    """One-sided spectrum of the upsampled correlation (zero-extended)."""
-    bins = _correlation_bins(phi, upsample_factor)
-    if upsample_factor == 1:
-        return bins
-    padded = np.zeros((phi.origin_length * upsample_factor) // 2 + 1,
-                      dtype=complex)
-    padded[: bins.size] = bins
-    return padded
 
 
 def correlate(phi: Spectrum, upsample_factor: int = 1,
@@ -281,79 +285,66 @@ def correlate(phi: Spectrum, upsample_factor: int = 1,
     products (one extreme lag dropped to center lag 0 exactly).
 
     ``max_lag_steps`` restricts the output to lags within that many indices
-    of zero. The restricted values are identical to the corresponding slice
-    of the full function; for sparse (band-gated) spectra they are computed
-    by direct evaluation, which is much cheaper than a full-length inverse
-    FFT.
+    of zero. The restricted values equal the corresponding slice of the full
+    function; for sparse (band-gated) spectra they are computed by direct
+    evaluation, which is much cheaper than a full-length inverse FFT.
+    This is the batch-of-one case of :func:`correlate_many`.
     """
+    [corr] = correlate_many(phi, upsample_factor, max_lag_steps)
+    return corr
+
+
+def correlate_many(phis: Spectrum | Sequence[Spectrum], upsample_factor: int = 1,
+                   max_lag_steps: int | None = None) -> list[CorrelationFunction]:
+    """:func:`correlate` for every row of a stacked spectrum, or for every
+    spectrum of a sequence sharing one layout.
+
+    With a lag window and sparse (band-gated) spectra the evaluation phases
+    are computed once and shared by all rows, which is what makes all-pairs
+    delay expansion cheap; otherwise all rows go through one batched inverse
+    FFT, whichever the cost model finds cheaper.
+    """
+    if not isinstance(phis, Spectrum):
+        if not phis:
+            return []
+        first = phis[0]
+        for p in phis[1:]:
+            if p.origin_length != first.origin_length \
+                    or p.bin_spacing != first.bin_spacing:
+                raise ValueError("correlate_many requires a homogeneous batch")
+        phis = _derived(np.stack([p.bins for p in phis]), first.bin_spacing,
+                        first.origin_length)
     if upsample_factor < 1:
         raise ValueError(f"upsample_factor must be >= 1, got {upsample_factor}")
-    n = phi.origin_length
+    n = phis.origin_length
     n_up = n * upsample_factor
     support = correlation_support_steps(n, upsample_factor)
-    sample_rate = phi.bin_spacing * n
-    lag_spacing = 1.0 / (sample_rate * upsample_factor)
+    if max_lag_steps is None:
+        max_lag_steps = support
+    elif not 0 <= max_lag_steps <= support:
+        raise ValueError(
+            f"max_lag_steps {max_lag_steps} outside correlation support "
+            f"({support} steps)")
 
-    if max_lag_steps is not None:
-        if not 0 <= max_lag_steps <= support:
-            raise ValueError(
-                f"max_lag_steps {max_lag_steps} outside correlation support "
-                f"({support} steps)")
-        bins = _correlation_bins(phi, upsample_factor)
-        nonzero = np.flatnonzero(bins)
-        if _direct_eval_cheaper(nonzero.size, max_lag_steps, 1, n_up):
-            values = _evaluate_lags(bins[None, :], nonzero, max_lag_steps,
-                                    n_up)[0]
-            values *= upsample_factor
-            return CorrelationFunction(values=values, lag_spacing=lag_spacing,
-                                       upsample_factor=upsample_factor)
-
-    bins = _upsampled_bins(phi, upsample_factor)
-    r = np.fft.irfft(bins, n=n_up) * upsample_factor
-    centered = np.roll(r, n_up // 2)
-    if n_up % 2 == 0:
-        centered = centered[1:]
-    if max_lag_steps is not None:
-        center = centered.size // 2
-        centered = centered[center - max_lag_steps: center + max_lag_steps + 1]
-    return CorrelationFunction(values=centered, lag_spacing=lag_spacing,
-                               upsample_factor=upsample_factor)
-
-
-def correlate_many(phis: list[Spectrum], upsample_factor: int = 1,
-                   max_lag_steps: int | None = None) -> list[CorrelationFunction]:
-    """Batched :func:`correlate` over spectra sharing one layout.
-
-    Produces exactly the values :func:`correlate` would for each spectrum;
-    with a lag window and sparse (band-gated) spectra the evaluation phases
-    are computed once and shared, which is what makes all-pairs delay
-    expansion cheap.
-    """
-    if not phis:
-        return []
-    first = phis[0]
-    for p in phis[1:]:
-        if p.origin_length != first.origin_length \
-                or p.bin_spacing != first.bin_spacing:
-            raise ValueError("correlate_many requires a homogeneous batch")
-    n_up = first.origin_length * upsample_factor
-    if max_lag_steps is not None:
-        support = correlation_support_steps(first.origin_length, upsample_factor)
-        if not 0 <= max_lag_steps <= support:
-            raise ValueError(
-                f"max_lag_steps {max_lag_steps} outside correlation support "
-                f"({support} steps)")
-        stack = np.stack([_correlation_bins(p, upsample_factor) for p in phis])
-        nonzero = np.flatnonzero(np.any(stack != 0, axis=0))
-        if _direct_eval_cheaper(nonzero.size, max_lag_steps, len(phis), n_up):
-            lag_spacing = 1.0 / (first.bin_spacing * first.origin_length
-                                 * upsample_factor)
-            values = _evaluate_lags(stack, nonzero, max_lag_steps, n_up)
-            values *= upsample_factor
-            return [CorrelationFunction(values=v, lag_spacing=lag_spacing,
-                                        upsample_factor=upsample_factor)
-                    for v in values]
-    return [correlate(p, upsample_factor, max_lag_steps) for p in phis]
+    rows = phis.bins.reshape(-1, phis.bins.shape[-1])
+    nonzero = np.flatnonzero(np.any(rows, axis=0))
+    # conjugated so a delayed second channel yields a positive-lag peak; the
+    # all-zero bins above the last nonzero one are not copied
+    bins = np.conj(rows[:, :nonzero[-1] + 1 if nonzero.size else 1])
+    if upsample_factor > 1 and n % 2 == 0 and n // 2 < bins.shape[1]:
+        bins[:, n // 2] *= 0.5  # interior once upsampled: split across +-f_nyq
+    if _direct_eval_cheaper(nonzero.size, max_lag_steps, len(bins), n_up):
+        values = _evaluate_lags(bins, nonzero, max_lag_steps, n_up)
+    else:
+        padded = np.zeros((len(bins), n_up // 2 + 1), dtype=complex)
+        padded[:, :bins.shape[1]] = bins
+        lags = np.arange(-max_lag_steps, max_lag_steps + 1)
+        values = np.fft.irfft(padded, n=n_up)[:, lags % n_up]
+    values *= upsample_factor
+    lag_spacing = 1.0 / (phis.bin_spacing * n * upsample_factor)
+    return [CorrelationFunction(values=v, lag_spacing=lag_spacing,
+                                upsample_factor=upsample_factor)
+            for v in values]
 
 
 def _direct_eval_cheaper(num_bins: int, max_lag_steps: int, batch: int,

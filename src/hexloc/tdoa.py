@@ -1,14 +1,16 @@
 """Pairwise time-difference-of-arrival estimation with subsample refinement.
 
-The estimator chain is cross_power -> phat_weight -> correlate, an
-integer-grid argmax restricted to physically feasible lags, then a
-least-squares quadratic fit over a 6-point window around the peak whose
-vertex (-b / 2a) supplies the subsample correction.
+Each time window's channel matrix is transformed once; the estimator chain
+cross_power -> band_limit -> phat_weight -> correlate_many then runs over the
+whole pair table at once, followed per pair by an integer-grid argmax
+restricted to physically feasible lags and a least-squares quadratic fit over
+a 6-point window around the peak whose vertex (-b / 2a) supplies the
+subsample correction. A single pair goes through the same path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,28 +114,6 @@ def refine_peak(corr: CorrelationFunction, peak_index: int) -> tuple[float, bool
 REFINE_MARGIN = 3
 
 
-def _whitened_cross_spectrum(s1: Spectrum, s2: Spectrum,
-                             band_hz: tuple[float, float] | None) -> Spectrum:
-    g = dsp.cross_power(s1, s2)
-    if band_hz is not None:
-        g = dsp.band_limit(g, *band_hz)
-        if not np.any(g.bins):
-            raise NoSignalError("no cross-power energy inside the band")
-    return dsp.phat_weight(g)
-
-
-def _feasible_steps(phi: Spectrum, max_lag: float,
-                    upsample_factor: int) -> int:
-    lag_spacing = 1.0 / (phi.bin_spacing * phi.origin_length * upsample_factor)
-    support = dsp.correlation_support_steps(phi.origin_length, upsample_factor)
-    max_steps = int(np.floor(max_lag / lag_spacing))
-    if max_steps > support:
-        raise ValueError(
-            f"max_lag {max_lag} s exceeds the correlation support "
-            f"({support * lag_spacing} s)")
-    return max(max_steps, 1)
-
-
 def _pick_peak(corr, max_steps: int, refine: bool, pair: tuple[int, int],
                window_index: int) -> PairDelay:
     lo = corr.center - max_steps
@@ -148,16 +128,37 @@ def _pick_peak(corr, max_steps: int, refine: bool, pair: tuple[int, int],
                      window_index=window_index, low_confidence=not ok)
 
 
-def _delay_from_spectra(s1: Spectrum, s2: Spectrum, max_lag: float,
-                        upsample_factor: int, refine: bool,
-                        pair: tuple[int, int], window_index: int,
-                        band_hz: tuple[float, float] | None = None) -> PairDelay:
-    phi = _whitened_cross_spectrum(s1, s2, band_hz)
-    max_steps = _feasible_steps(phi, max_lag, upsample_factor)
+def _pair_delays(spectra: Spectrum, pairs: list[tuple[int, int]],
+                 max_lags: list[float], upsample_factor: int, refine: bool,
+                 window_index: int,
+                 band_hz: tuple[float, float] | None) -> list[PairDelay]:
+    """Delays for channel pairs of one window, given the window's stacked
+    channel spectra: cross-power, band gate and PHAT over the pair table,
+    then one batched correlation over a lag window shared by all pairs,
+    each searched within its own max lag."""
+    first, second = np.array(pairs).T
+    g = dsp.cross_power(spectra.rows(first), spectra.rows(second))
+    if band_hz is not None:
+        g = dsp.band_limit(g, *band_hz)
+        if not np.all(np.any(g.bins, axis=-1)):
+            raise NoSignalError("no cross-power energy inside the band")
+    phi = dsp.phat_weight(g)
+    del g  # released before the lag evaluation, which sets the peak memory
+
+    lag_spacing = 1.0 / (phi.bin_spacing * phi.origin_length * upsample_factor)
     support = dsp.correlation_support_steps(phi.origin_length, upsample_factor)
-    margin = min(REFINE_MARGIN, support - max_steps)
-    corr = dsp.correlate(phi, upsample_factor, max_lag_steps=max_steps + margin)
-    return _pick_peak(corr, max_steps, refine, pair, window_index)
+    steps = []
+    for max_lag in max_lags:
+        max_steps = int(np.floor(max_lag / lag_spacing))
+        if max_steps > support:
+            raise ValueError(
+                f"max_lag {max_lag} s exceeds the correlation support "
+                f"({support * lag_spacing} s)")
+        steps.append(max(max_steps, 1))
+    shared = min(max(steps) + REFINE_MARGIN, support)
+    corrs = dsp.correlate_many(phi, upsample_factor, max_lag_steps=shared)
+    return [_pick_peak(corr, max_steps, refine, pair, window_index)
+            for pair, corr, max_steps in zip(pairs, corrs, steps)]
 
 
 def estimate_pair_delay(x1: RealSignal, x2: RealSignal, max_lag: float,
@@ -179,10 +180,11 @@ def estimate_pair_delay(x1: RealSignal, x2: RealSignal, max_lag: float,
         raise ValueError(f"max_lag must be positive, got {max_lag}")
     dsp.ensure_signal_present(x1, x2)
     nfft = dsp.correlation_fft_length(x1.samples.size)
-    s1 = dsp.real_spectrum(x1, nfft)
-    s2 = dsp.real_spectrum(x2, nfft)
-    return _delay_from_spectra(s1, s2, max_lag, upsample_factor, refine,
-                               pair, window_index, band_hz)
+    spectra = dsp.real_spectrum(MultichannelRecording(
+        np.stack([x1.samples, x2.samples]), x1.sample_rate), nfft)
+    [delay] = _pair_delays(spectra, [(0, 1)], [max_lag], upsample_factor,
+                           refine, window_index, band_hz)
+    return replace(delay, pair=pair)
 
 
 def default_max_lag(array: MicArray, pair: tuple[int, int],
@@ -218,26 +220,16 @@ def expand_delay_features(rec: MultichannelRecording, array: MicArray,
         model = PropagationModel(sample_rate=rec.sample_rate)
 
     pairs = geometry.mic_pairs(array.num_elements)
+    max_lags = [default_max_lag(array, pair, model) for pair in pairs]
     nfft = dsp.correlation_fft_length(window_len)
     entries = []
     for w in range(num_windows):
         seg = rec.samples[:, w * window_len:(w + 1) * window_len]
         if not np.any(seg):
             raise NoSignalError(f"window {w} is all zeros")
-        spectra = [dsp.real_spectrum(RealSignal(seg[ch], rec.sample_rate), nfft)
-                   for ch in range(rec.num_channels)]
-        phis, steps = [], []
-        for pair in pairs:
-            phi = _whitened_cross_spectrum(spectra[pair[0]], spectra[pair[1]],
-                                           band_hz)
-            phis.append(phi)
-            steps.append(_feasible_steps(
-                phi, default_max_lag(array, pair, model), upsample_factor))
-        support = dsp.correlation_support_steps(nfft, upsample_factor)
-        shared = min(max(steps) + REFINE_MARGIN, support)
-        corrs = dsp.correlate_many(phis, upsample_factor, max_lag_steps=shared)
-        entries.extend(
-            _pick_peak(corr, max_steps, refine, pair, w)
-            for pair, corr, max_steps in zip(pairs, corrs, steps))
+        spectra = dsp.real_spectrum(MultichannelRecording(seg, rec.sample_rate),
+                                    nfft)
+        entries.extend(_pair_delays(spectra, pairs, max_lags, upsample_factor,
+                                    refine, w, band_hz))
     return DelayVector(entries=tuple(entries), source_array=array.id,
                        num_windows=num_windows)

@@ -141,6 +141,17 @@ def test_localize_single_array_manifest_exit_2(tmp_path, capsys):
     assert "at least two" in capsys.readouterr().err
 
 
+def test_localize_sample_rate_mismatch_exit_2(tmp_path, capsys):
+    out = simulated_fixture(tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["sample_rate_hz"] = 48000.0  # the WAVs are 44.1 kHz
+    path = out / "rate.json"
+    path.write_text(json.dumps(manifest))
+    assert cli.main(["localize", str(path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "44100" in err and "48000" in err
+
+
 def test_localize_parallel_bearings_exit_3(tmp_path):
     # same recording fed to two same-orientation arrays at different
     # positions yields bitwise-identical azimuths: exactly parallel lines

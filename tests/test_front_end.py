@@ -1,0 +1,133 @@
+"""The channel-matrix front end: stacked spectral kernels agree with their
+one-row calls, the windowed and batched correlation agree with the full
+single one, and a lone pair delay agrees with the all-pairs expansion."""
+
+import numpy as np
+import pytest
+from hypothesis import event, example, given, settings, strategies as st
+
+from hexloc import dsp, sim, tdoa
+from hexloc.dsp import MultichannelRecording, RealSignal
+from hexloc.geometry import PropagationModel, build_hex_array, mic_pairs
+
+FS = 44100.0
+BAND = dsp.DEFAULT_BAND_HZ
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def channel_matrix(draw):
+    channels = draw(st.integers(2, 6))
+    length = draw(st.integers(8, 700))  # both parities
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    x = np.random.default_rng(seed).standard_normal((channels, length))
+    if draw(st.booleans()):
+        x[draw(st.integers(0, channels - 1))] = 0.0
+    return x
+
+
+def whitened(x, gated):
+    """PHAT-whitened cross-power spectra of consecutive channel pairs,
+    stacked, with origin length equal to the (even or odd) sample count."""
+    spectra = dsp.real_spectrum(MultichannelRecording(x, FS))
+    g = dsp.cross_power(spectra.rows(slice(None, -1)), spectra.rows(slice(1, None)))
+    if gated:
+        g = dsp.band_limit(g, *BAND)
+    return dsp.phat_weight(g)
+
+
+def assert_rows_equal(stacked, rows):
+    assert stacked.bins.shape == (len(rows),) + rows[0].bins.shape
+    for got, want in zip(stacked.bins, rows):
+        assert want.bin_spacing == stacked.bin_spacing
+        assert want.origin_length == stacked.origin_length
+        np.testing.assert_array_equal(got, want.bins)
+
+
+@PROPERTY
+@given(x=channel_matrix(), pad=st.integers(0, 64),
+       gated=st.booleans())
+# rows small and stacks large enough for numpy to reuse temporaries in place
+@example(x=np.random.default_rng(1).standard_normal((6, 20000)), pad=0,
+         gated=True)
+def test_stacked_kernels_equal_row_calls(x, pad, gated):
+    nfft = x.shape[1] + pad
+    stacked = dsp.real_spectrum(MultichannelRecording(x, FS), nfft)
+    singles = [dsp.real_spectrum(RealSignal(row, FS), nfft) for row in x]
+    assert_rows_equal(stacked, singles)
+
+    pairs = mic_pairs(x.shape[0])
+    first, second = np.array(pairs).T
+    g = dsp.cross_power(stacked.rows(first), stacked.rows(second))
+    g_rows = [dsp.cross_power(singles[i], singles[j]) for i, j in pairs]
+    assert_rows_equal(g, g_rows)
+    if gated:
+        g = dsp.band_limit(g, *BAND)
+        g_rows = [dsp.band_limit(r, *BAND) for r in g_rows]
+        assert_rows_equal(g, g_rows)
+    assert_rows_equal(dsp.phat_weight(g), [dsp.phat_weight(r) for r in g_rows])
+
+
+@PROPERTY
+@given(x=channel_matrix(), up=st.integers(1, 8),
+       gated=st.booleans(), data=st.data())
+def test_windowed_correlate_is_centred_slice_of_full(x, up, gated, data):
+    phi = whitened(x, gated).rows(0)
+    support = dsp.correlation_support_steps(phi.origin_length, up)
+    steps = data.draw(st.integers(0, support))
+    nonzero = np.count_nonzero(phi.bins)
+    event(f"direct evaluation: "
+          f"{dsp._direct_eval_cheaper(nonzero, steps, 1, phi.origin_length * up)}")
+
+    full = dsp.correlate(phi, up)
+    win = dsp.correlate(phi, up, max_lag_steps=steps)
+    assert win.values.size == 2 * steps + 1
+    assert win.lag_spacing == full.lag_spacing
+    centred = full.values[full.center - steps: full.center + steps + 1]
+    np.testing.assert_allclose(win.values, centred, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(x=channel_matrix(), up=st.integers(1, 8),
+       gated=st.booleans(), data=st.data())
+def test_correlate_many_rows_equal_correlate(x, up, gated, data):
+    phis = whitened(x, gated)
+    support = dsp.correlation_support_steps(phis.origin_length, up)
+    steps = data.draw(st.none() | st.integers(0, support))
+    batch = dsp.correlate_many(phis, up, max_lag_steps=steps)
+    assert len(batch) == phis.bins.shape[0]
+    for k, got in enumerate(batch):
+        single = dsp.correlate(phis.rows(k), up, max_lag_steps=steps)
+        assert got.lag_spacing == single.lag_spacing
+        assert got.upsample_factor == single.upsample_factor
+        np.testing.assert_allclose(got.values, single.values, rtol=0, atol=1e-12)
+
+
+def test_pair_delay_is_the_expansion_entry():
+    # One delay path: a lone pair and the 15-pair batch run the same code.
+    # They may differ only by rounding, because the batch size moves the
+    # direct-evaluation/FFT choice and the matrix-product shape.
+    model = PropagationModel()
+    array = build_hex_array((0.0, 0.0), 0.3, array_id="A")
+    scene = sim.Scene(arrays=(array,), source=(2.0, 1.0), snr_db=20.0, seed=5,
+                      model=model)
+    recordings, _ = sim.synthesize(scene)
+    rec = dsp.bandpass_recording(recordings[0], *BAND)
+    up = dsp.DEFAULT_UPSAMPLE
+    expanded = tdoa.expand_delay_features(rec, array, num_windows=1,
+                                          upsample_factor=up, model=model,
+                                          band_hz=BAND)
+    assert [e.pair for e in expanded.entries] == mic_pairs()
+    fine_step = 1.0 / (FS * up)
+    for entry in expanded.entries:
+        i, j = entry.pair
+        single = tdoa.estimate_pair_delay(
+            RealSignal(rec.samples[i], FS), RealSignal(rec.samples[j], FS),
+            tdoa.default_max_lag(array, entry.pair, model),
+            upsample_factor=up, pair=entry.pair, band_hz=BAND)
+        assert single.pair == entry.pair
+        assert single.window_index == entry.window_index == 0
+        assert single.low_confidence == entry.low_confidence
+        assert single.delay == pytest.approx(entry.delay, rel=0,
+                                             abs=1e-9 * fine_step)
+        assert single.peak_score == pytest.approx(entry.peak_score, rel=1e-9)
