@@ -52,16 +52,23 @@ def _config_from_args(args) -> PipelineConfig:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--band-low-hz", type=float, default=300.0)
-    parser.add_argument("--band-high-hz", type=float, default=3500.0)
-    parser.add_argument("--upsample-factor", type=int, default=8)
-    parser.add_argument("--num-windows", type=int, default=2)
-    parser.add_argument("--grid-step-deg", type=float, default=1.0)
-    parser.add_argument("--solver", choices=ALL_SOLVERS, default="irls")
-    parser.add_argument("--ransac-threshold-m", type=float, default=0.5)
-    parser.add_argument("--ransac-iterations", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--strict-paper-mode", action="store_true")
+    default = PipelineConfig()
+    parser.add_argument("--band-low-hz", type=float, default=default.band_hz[0])
+    parser.add_argument("--band-high-hz", type=float,
+                        default=default.band_hz[1])
+    parser.add_argument("--upsample-factor", type=int,
+                        default=default.upsample_factor)
+    parser.add_argument("--num-windows", type=int, default=default.num_windows)
+    parser.add_argument("--grid-step-deg", type=float,
+                        default=default.grid_step_deg)
+    parser.add_argument("--solver", choices=ALL_SOLVERS, default=default.solver)
+    parser.add_argument("--ransac-threshold-m", type=float,
+                        default=default.ransac_threshold_m)
+    parser.add_argument("--ransac-iterations", type=int,
+                        default=default.ransac_iterations)
+    parser.add_argument("--seed", type=int, default=default.seed)
+    parser.add_argument("--strict-paper-mode", action="store_true",
+                        default=default.strict_paper_mode)
 
 
 def cmd_simulate(args) -> int:
@@ -96,10 +103,9 @@ def cmd_aoa(args) -> int:
         return _fail(EXIT_USAGE,
                      f"WAV has {rec.num_channels} channels, expected "
                      f"{array.num_elements} for array {array.id!r}")
-    config = _config_from_args(args)
     try:
         spectrum, estimate = pipeline.estimate_recording_aoa(
-            rec, array, AoaMethod(args.method), config)
+            rec, array, AoaMethod(args.method), args.config)
     except AmbiguousEstimateError as exc:
         spectrum = exc.spectrum
         if spectrum is not None and args.spectrum_csv:
@@ -142,10 +148,9 @@ def cmd_localize(args) -> int:
                              f"{path} has sample rate {rec.sample_rate:g} Hz, "
                              f"manifest declares {model.sample_rate:g} Hz")
 
-    config = _config_from_args(args)
     try:
         result, estimates = pipeline.localize_recordings(
-            recs, arrays, AoaMethod(args.method), config, model)
+            recs, arrays, AoaMethod(args.method), args.config, model)
     except UnlocalizableError as exc:
         return _fail(EXIT_UNLOCALIZABLE, f"unlocalizable geometry: {exc}")
     except (AmbiguousEstimateError, NoSignalError, ValueError) as exc:
@@ -167,7 +172,6 @@ def cmd_localize(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _config_from_args(args)
     echoes = tuple(Echo(float(d), float(g), float(o))
                    for d, g, o in (args.echo or []))
     arrays = None
@@ -181,7 +185,7 @@ def cmd_eval(args) -> int:
         except (SceneConfigError, json.JSONDecodeError) as exc:
             return _fail(EXIT_USAGE, str(exc))
     try:
-        rows = pipeline.run_eval(args.trials, tuple(args.bounds), config,
+        rows = pipeline.run_eval(args.trials, tuple(args.bounds), args.config,
                                  arrays=arrays, snr_db=args.snr_db,
                                  echoes=echoes)
     except ValueError as exc:
@@ -254,6 +258,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    if "strict_paper_mode" in args:  # a command that takes the pipeline flags
+        try:
+            args.config = _config_from_args(args)
+        except ValueError as exc:
+            return _fail(EXIT_USAGE, f"invalid pipeline flags: {exc}")
     return args.func(args)
 
 

@@ -52,6 +52,24 @@ def _require(obj: dict, key: str, context: str):
     return obj[key]
 
 
+def _propagation_model(config: dict, context: str) -> PropagationModel:
+    """Speed of sound and sample rate from the optional keys of a scene or
+    manifest; a value that is not a finite positive number names its key."""
+    values = []
+    for key, default in (("speed_of_sound_m_s", geometry.SPEED_OF_SOUND_M_S),
+                         ("sample_rate_hz", geometry.SAMPLE_RATE_HZ)):
+        raw = config.get(key, default)
+        try:
+            value = float(raw)
+        except (TypeError, ValueError):
+            value = math.nan
+        if not (math.isfinite(value) and value > 0):
+            raise SceneConfigError(
+                f"key '{key}' must be a positive number in {context}, got {raw!r}")
+        values.append(value)
+    return PropagationModel(*values)
+
+
 def parse_array(entry: dict, context: str = "array entry") -> MicArray:
     array_id = str(_require(entry, "id", context))
     center = _require(entry, "center_m", context)
@@ -77,10 +95,7 @@ def parse_scene(config: dict, context: str = "scene config",
     arrays = tuple(parse_array(a, f"{context}.arrays[{k}]")
                    for k, a in enumerate(raw_arrays))
     source = _require(config, "source_m", context)
-    model = PropagationModel(
-        speed_of_sound=float(config.get("speed_of_sound_m_s",
-                                        geometry.SPEED_OF_SOUND_M_S)),
-        sample_rate=float(config.get("sample_rate_hz", geometry.SAMPLE_RATE_HZ)))
+    model = _propagation_model(config, context)
     signal = config.get("signal", {})
     kind = str(signal.get("kind", "speech"))
     source_samples = None
@@ -170,11 +185,7 @@ def load_manifest(path) -> tuple[list[MicArray], list[Path], PropagationModel, d
     arrays = [parse_array(a, f"{path}.arrays[{k}]") for k, a in enumerate(raw)]
     wavs = [path.parent / _require(a, "wav", f"{path}.arrays[{k}]")
             for k, a in enumerate(raw)]
-    model = PropagationModel(
-        speed_of_sound=float(manifest.get("speed_of_sound_m_s",
-                                          geometry.SPEED_OF_SOUND_M_S)),
-        sample_rate=float(manifest.get("sample_rate_hz", geometry.SAMPLE_RATE_HZ)))
-    return arrays, wavs, model, manifest
+    return arrays, wavs, _propagation_model(manifest, str(path)), manifest
 
 
 def load_ground_truth(manifest_path) -> dict | None:

@@ -217,5 +217,3 @@ def solve_irls(lines: list[BearingLine], max_iter: int = IRLS_MAX_ITER,
     return _finish(lines, position, "irls", weights=tuple(weights),
                    iterations=iterations, condition_flag=flag)
 
-
-SOLVERS = {"mle": solve_mle, "ransac": solve_ransac, "irls": solve_irls}

@@ -28,9 +28,11 @@ class PipelineConfig:
     """Parameter surface of the full pipeline.
 
     ``strict_paper_mode`` switches off exactly three enhancements that are
-    tuning choices of this implementation: peak-score weighting in the
-    matcher, multi-window delay aggregation, and confidence-weighted
-    bearings. Nothing else changes, which the config-diff test asserts.
+    tuning choices of this implementation, resolved by read-only properties:
+    multi-window delay aggregation (``window_count`` is 1), peak-score
+    weighting in the matcher (``weighted_matcher``) and confidence-weighted
+    bearings (``weighted_bearings``). Nothing else changes, which the
+    config-diff test asserts.
     """
 
     band_hz: tuple[float, float] = dsp.DEFAULT_BAND_HZ
@@ -49,21 +51,17 @@ class PipelineConfig:
         if self.upsample_factor < 1 or self.num_windows < 1:
             raise ValueError("upsample_factor and num_windows must be >= 1")
 
-    def effective(self) -> dict:
-        """Resolved knob values after applying strict-mode overrides."""
-        strict = self.strict_paper_mode
-        return {
-            "band_hz": self.band_hz,
-            "upsample_factor": self.upsample_factor,
-            "num_windows": 1 if strict else self.num_windows,
-            "grid_step_deg": self.grid_step_deg,
-            "solver": self.solver,
-            "ransac_threshold_m": self.ransac_threshold_m,
-            "ransac_iterations": self.ransac_iterations,
-            "seed": self.seed,
-            "matcher_weighted": not strict,
-            "bearing_weights": "uniform" if strict else "confidence",
-        }
+    @property
+    def window_count(self) -> int:
+        return 1 if self.strict_paper_mode else self.num_windows
+
+    @property
+    def weighted_matcher(self) -> bool:
+        return not self.strict_paper_mode
+
+    @property
+    def weighted_bearings(self) -> bool:
+        return not self.strict_paper_mode
 
 
 def estimate_recording_aoa(rec: MultichannelRecording, array: MicArray,
@@ -77,34 +75,37 @@ def estimate_recording_aoa(rec: MultichannelRecording, array: MicArray,
     if model is None:
         model = PropagationModel(sample_rate=rec.sample_rate)
     method = AoaMethod(method)
-    eff = config.effective()
-    filtered = dsp.bandpass_recording(rec, *eff["band_hz"])
+    filtered = dsp.bandpass_recording(rec, *config.band_hz)
+    return _estimate_filtered(filtered, array, method, config, model)
 
+
+def _estimate_filtered(filtered: MultichannelRecording, array: MicArray,
+                       method: AoaMethod, config: PipelineConfig,
+                       model: PropagationModel
+                       ) -> tuple[AoaSpectrum, AoaEstimate]:
+    """Run the chosen azimuth estimator on a band-passed recording."""
     if method is AoaMethod.GCC_PLUS:
         delays = tdoa.expand_delay_features(
-            filtered, array, num_windows=eff["num_windows"],
-            upsample_factor=eff["upsample_factor"], model=model, refine=True,
-            band_hz=eff["band_hz"])
-        return aoa.estimate_aoa_gcc(delays, array, model, eff["grid_step_deg"],
-                                    weighted=eff["matcher_weighted"],
+            filtered, array, num_windows=config.window_count,
+            upsample_factor=config.upsample_factor, model=model, refine=True,
+            band_hz=config.band_hz)
+        return aoa.estimate_aoa_gcc(delays, array, model, config.grid_step_deg,
+                                    weighted=config.weighted_matcher,
                                     refine=True, method=AoaMethod.GCC_PLUS)
     if method is AoaMethod.GCC_PHAT:
         return aoa.baseline_aoa_gcc_phat(filtered, array, model,
-                                         eff["grid_step_deg"], eff["band_hz"])
-    return aoa.estimate_aoa_music(filtered, array, model, eff["band_hz"],
-                                  grid_step_deg=eff["grid_step_deg"])
+                                         config.grid_step_deg, config.band_hz)
+    return aoa.estimate_aoa_music(filtered, array, model, config.band_hz,
+                                  grid_step_deg=config.grid_step_deg)
 
 
 def bearings_from_estimates(arrays: list[MicArray],
                             estimates: list[AoaEstimate],
                             config: PipelineConfig) -> list[BearingLine]:
-    uniform = config.effective()["bearing_weights"] == "uniform"
-    lines = []
-    for array, est in zip(arrays, estimates):
-        weight = 1.0 if uniform else max(est.confidence, MIN_BEARING_WEIGHT)
-        lines.append(BearingLine.from_azimuth(array.center, est.azimuth,
-                                              weight=weight, array_id=array.id))
-    return lines
+    weights = [max(e.confidence, MIN_BEARING_WEIGHT)
+               if config.weighted_bearings else 1.0 for e in estimates]
+    return [BearingLine.from_azimuth(a.center, e.azimuth, weight=w, array_id=a.id)
+            for a, e, w in zip(arrays, estimates, weights)]
 
 
 def solve_bearings(lines: list[BearingLine],
@@ -179,53 +180,44 @@ def run_eval(n_trials: int, bounds: tuple[float, float, float, float],
     rows = EvalRows()
     for t, scene in enumerate(scenes):
         recordings, truth = sim.synthesize(scene)
-        per_method: dict[AoaMethod, list[AoaEstimate]] = {}
+        filtered = [dsp.bandpass_recording(rec, *config.band_hz)
+                    for rec in recordings]
         for method in methods:
-            estimates = []
-            for rec, array in zip(recordings, scene.arrays):
+            usable = []
+            for rec, array in zip(filtered, scene.arrays):
                 try:
-                    _, est = estimate_recording_aoa(rec, array, method,
-                                                    config, scene.model)
-                except (AmbiguousEstimateError, NoSignalError, ValueError):
-                    rows.aoa.append({"trial": t, "method": method.value,
-                                     "array_id": array.id,
-                                     "error_deg": math.nan, "status": "error"})
-                    estimates.append(None)
-                    continue
-                err = circular_error_deg(est.azimuth_deg,
-                                         truth.azimuth_deg[array.id])
+                    _, est = _estimate_filtered(rec, array, method, config,
+                                                scene.model)
+                except (AmbiguousEstimateError, NoSignalError):
+                    err, status = math.nan, "error"
+                else:
+                    err, status = circular_error_deg(
+                        est.azimuth_deg, truth.azimuth_deg[array.id]), "ok"
+                    usable.append((array, est))
                 rows.aoa.append({"trial": t, "method": method.value,
                                  "array_id": array.id, "error_deg": err,
-                                 "status": "ok"})
-                estimates.append(est)
-            per_method[method] = estimates
-
-        for method in methods:
-            estimates = per_method[method]
-            usable = [(a, e) for a, e in zip(scene.arrays, estimates)
-                      if e is not None]
+                                 "status": status})
             for solver in solvers:
-                if len(usable) < 2:
-                    rows.loc.append({"trial": t, "method": method.value,
-                                     "solver": solver, "error_m": math.nan,
-                                     "status": "error"})
-                    continue
-                solver_config = replace(config, solver=solver)
-                lines = bearings_from_estimates([a for a, _ in usable],
-                                                [e for _, e in usable],
-                                                solver_config)
-                try:
-                    result = solve_bearings(lines, solver_config)
-                except UnlocalizableError:
-                    rows.loc.append({"trial": t, "method": method.value,
-                                     "solver": solver, "error_m": math.nan,
-                                     "status": "error"})
-                    continue
-                err = float(np.linalg.norm(result.position - truth.source))
+                err = _localization_error(usable, replace(config, solver=solver),
+                                          truth.source)
                 rows.loc.append({"trial": t, "method": method.value,
                                  "solver": solver, "error_m": err,
-                                 "status": "ok"})
+                                 "status": "error" if math.isnan(err) else "ok"})
     return rows
+
+
+def _localization_error(usable: list[tuple[MicArray, AoaEstimate]],
+                        config: PipelineConfig, source: np.ndarray) -> float:
+    """Position error of the fused bearings; NaN when they cannot be fused."""
+    if len(usable) < 2:
+        return math.nan
+    arrays, estimates = zip(*usable)
+    lines = bearings_from_estimates(arrays, estimates, config)
+    try:
+        result = solve_bearings(lines, config)
+    except UnlocalizableError:
+        return math.nan
+    return float(np.linalg.norm(result.position - source))
 
 
 def summarize(rows: EvalRows) -> list[EvalSummary]:

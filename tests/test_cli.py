@@ -3,6 +3,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from hexloc import cli, io as hio, sim
 from hexloc.geometry import build_hex_array
@@ -150,6 +151,42 @@ def test_localize_sample_rate_mismatch_exit_2(tmp_path, capsys):
     assert cli.main(["localize", str(path)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "44100" in err and "48000" in err
+
+
+@pytest.mark.parametrize("key, value", [("speed_of_sound_m_s", -343),
+                                        ("sample_rate_hz", "fast")])
+def test_localize_bad_propagation_key_exit_2(tmp_path, capsys, key, value):
+    out = simulated_fixture(tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest[key] = value
+    path = out / "bad.json"
+    path.write_text(json.dumps(manifest))
+    assert cli.main(["localize", str(path)]) == cli.EXIT_USAGE
+    assert key in capsys.readouterr().err
+
+
+def test_simulate_zero_speed_of_sound_exit_2(tmp_path, capsys):
+    config = scene_config(tmp_path, speed_of_sound_m_s=0)
+    assert cli.main(["simulate", str(config), "--out-dir",
+                     str(tmp_path / "out")]) == cli.EXIT_USAGE
+    assert "speed_of_sound_m_s" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["aoa", "localize", "eval"])
+def test_invalid_pipeline_flag_exit_2(tmp_path, capsys, command):
+    if command == "eval":
+        argv = ["eval", "--trials", "1", "--out-dir", str(tmp_path / "e")]
+    else:
+        out = simulated_fixture(tmp_path)
+        spec_path = tmp_path / "a1.json"
+        spec_path.write_text(json.dumps(
+            {"id": "A1", "center_m": [0.0, 0.0], "orientation_rad": 0.0}))
+        argv = (["aoa", str(out / "A1.wav"), str(spec_path)]
+                if command == "aoa"
+                else ["localize", str(out / "manifest.json")])
+    for flag in ("--num-windows", "--upsample-factor"):
+        assert cli.main(argv + [flag, "0"]) == cli.EXIT_USAGE
+        assert "must be >= 1" in capsys.readouterr().err
 
 
 def test_localize_parallel_bearings_exit_3(tmp_path):

@@ -1,8 +1,10 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
-from hexloc import pipeline, sim
-from hexloc.aoa import AoaMethod
+from hexloc import dsp, pipeline, sim
+from hexloc.aoa import AoaMethod, circular_error_deg
 from hexloc.pipeline import (EvalSummary, PipelineConfig, csv_to_rows,
                              localize_recordings, rows_to_csv, run_eval,
                              summaries_to_csv, summarize)
@@ -23,13 +25,28 @@ def test_config_rejects_bad_solver():
 
 
 def test_strict_mode_toggles_only_documented_knobs():
-    default = PipelineConfig().effective()
-    strict = PipelineConfig(strict_paper_mode=True).effective()
+    def resolved(cfg):
+        names = [f.name for f in fields(cfg) if f.name != "strict_paper_mode"]
+        names += [name for name, value in vars(PipelineConfig).items()
+                  if isinstance(value, property)]
+        return {name: getattr(cfg, name) for name in names}
+
+    strict_cfg = PipelineConfig(strict_paper_mode=True)
+    default = resolved(PipelineConfig())
+    strict = resolved(strict_cfg)
     changed = {k for k in default if default[k] != strict[k]}
-    assert changed == {"num_windows", "matcher_weighted", "bearing_weights"}
-    assert strict["num_windows"] == 1
-    assert strict["matcher_weighted"] is False
-    assert strict["bearing_weights"] == "uniform"
+    assert changed == {"window_count", "weighted_matcher", "weighted_bearings"}
+    assert default["window_count"] == 2
+    assert default["weighted_matcher"] is True
+    assert default["weighted_bearings"] is True
+    assert strict["window_count"] == 1
+    assert strict["weighted_matcher"] is False
+    assert strict["weighted_bearings"] is False
+    assert replace(strict_cfg, strict_paper_mode=False) == PipelineConfig()
+    # the resolved values are derived, not settable
+    assert len(fields(PipelineConfig)) == 9
+    with pytest.raises(TypeError):
+        PipelineConfig(window_count=1)
 
 
 def test_localize_recordings_three_arrays():
@@ -121,3 +138,42 @@ def test_spectrum_csv_shape():
     lines = text.strip().splitlines()
     assert lines[0] == "angle_deg,score"
     assert len(lines) == 361  # header + 360 rows at the 1-degree grid
+
+
+def test_eval_bandpasses_each_recording_once(monkeypatch):
+    calls = []
+    original = dsp.bandpass_recording
+
+    def counting(rec, low_hz, high_hz):
+        calls.append(rec)
+        return original(rec, low_hz, high_hz)
+
+    monkeypatch.setattr(dsp, "bandpass_recording", counting)
+    cfg = PipelineConfig(seed=5)
+    bounds = (0.5, 0.5, 5.5, 4.5)
+    rows = run_eval(1, bounds, cfg, snr_db=20.0, solvers=("mle",))
+    assert len(calls) == 3                 # one per array, shared by methods
+    monkeypatch.undo()
+
+    # every method sees the same errors as a standalone estimate
+    (scene,) = sim.sample_scenarios(1, bounds, seed=cfg.seed,
+                                    arrays=sim.default_array_layout(),
+                                    snr_db=20.0)
+    recs, truth = sim.synthesize(scene)
+    expected = []
+    for method in pipeline.ALL_METHODS:
+        for rec, array in zip(recs, scene.arrays):
+            _, est = pipeline.estimate_recording_aoa(rec, array, method, cfg,
+                                                     scene.model)
+            expected.append((method.value, array.id, circular_error_deg(
+                est.azimuth_deg, truth.azimuth_deg[array.id])))
+    assert [(r["method"], r["array_id"], r["error_deg"])
+            for r in rows.aoa] == expected
+
+
+def test_eval_config_error_raises():
+    # a program or config error is not an estimator failure: it must not
+    # become silent "error" rows
+    with pytest.raises(ValueError, match="grid_step_deg"):
+        run_eval(1, (0.5, 0.5, 5.5, 4.5), PipelineConfig(grid_step_deg=10.0),
+                 methods=(AoaMethod.GCC_PLUS,), solvers=("mle",))
