@@ -12,6 +12,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import fft, ifft, next_fast_len
 from scipy.signal import fftconvolve, firwin, kaiserord
 
 from .errors import NoSignalError
@@ -275,19 +276,19 @@ def correlate(phi: Spectrum, upsample_factor: int = 1,
     """Inverse-transform a (whitened) cross-power spectrum to a correlation
     function on a centered lag axis, optionally upsampled.
 
-    Upsampling zero-extends the spectrum to ``upsample_factor *
-    origin_length`` bins before the inverse real FFT; frequency-domain
-    zero-padding is ideal band-limited interpolation, so no extra smoothing
-    filter is applied. For even origin lengths the original Nyquist bin is
-    split in half when it becomes an interior bin. The lag axis follows the
-    module's sign convention (positive lag = channel 1 leads); the full
-    output length is ``upsample_factor * origin_length``, minus one for even
-    products (one extreme lag dropped to center lag 0 exactly).
+    The result is the inverse real FFT of the spectrum zero-extended to
+    ``upsample_factor * origin_length`` bins; frequency-domain zero-padding
+    is ideal band-limited interpolation, so no extra smoothing filter is
+    applied. For even origin lengths the original Nyquist bin is split in
+    half across +-f_nyq when upsampling makes it interior. The lag axis
+    follows the module's sign convention (positive lag = channel 1 leads);
+    the full output length is ``upsample_factor * origin_length``, minus one
+    for even products (one extreme lag dropped to center lag 0 exactly).
 
     ``max_lag_steps`` restricts the output to lags within that many indices
-    of zero. The restricted values equal the corresponding slice of the full
-    function; for sparse (band-gated) spectra they are computed by direct
-    evaluation, which is much cheaper than a full-length inverse FFT.
+    of zero; the values equal the corresponding slice of the full function,
+    and both come from the same chirp-z pass, whose cost grows with the
+    window and the highest nonzero bin rather than the upsampled length.
     This is the batch-of-one case of :func:`correlate_many`.
     """
     [corr] = correlate_many(phi, upsample_factor, max_lag_steps)
@@ -299,10 +300,9 @@ def correlate_many(phis: Spectrum | Sequence[Spectrum], upsample_factor: int = 1
     """:func:`correlate` for every row of a stacked spectrum, or for every
     spectrum of a sequence sharing one layout.
 
-    With a lag window and sparse (band-gated) spectra the evaluation phases
-    are computed once and shared by all rows, which is what makes all-pairs
-    delay expansion cheap; otherwise all rows go through one batched inverse
-    FFT, whichever the cost model finds cheaper.
+    All rows go through one batched chirp-z transform over the lag window,
+    with its chirp spectrum computed once for the batch, which is what makes
+    all-pairs delay expansion cheap.
     """
     if not isinstance(phis, Spectrum):
         if not phis:
@@ -317,7 +317,6 @@ def correlate_many(phis: Spectrum | Sequence[Spectrum], upsample_factor: int = 1
     if upsample_factor < 1:
         raise ValueError(f"upsample_factor must be >= 1, got {upsample_factor}")
     n = phis.origin_length
-    n_up = n * upsample_factor
     support = correlation_support_steps(n, upsample_factor)
     if max_lag_steps is None:
         max_lag_steps = support
@@ -328,18 +327,18 @@ def correlate_many(phis: Spectrum | Sequence[Spectrum], upsample_factor: int = 1
 
     rows = phis.bins.reshape(-1, phis.bins.shape[-1])
     nonzero = np.flatnonzero(np.any(rows, axis=0))
+    num_bins = nonzero[-1] + 1 if nonzero.size else 1
+    # each interior bin stands for itself and its mirror image; DC and an
+    # even length's Nyquist bin (split in half across +-f_nyq when
+    # upsampling makes it interior) count once
+    weights = np.full(num_bins, 2.0)
+    weights[0] = 1.0
+    if n % 2 == 0 and n // 2 < num_bins:
+        weights[n // 2] = 1.0
     # conjugated so a delayed second channel yields a positive-lag peak; the
     # all-zero bins above the last nonzero one are not copied
-    bins = np.conj(rows[:, :nonzero[-1] + 1 if nonzero.size else 1])
-    if upsample_factor > 1 and n % 2 == 0 and n // 2 < bins.shape[1]:
-        bins[:, n // 2] *= 0.5  # interior once upsampled: split across +-f_nyq
-    if _direct_eval_cheaper(nonzero.size, max_lag_steps, len(bins), n_up):
-        values = _evaluate_lags(bins, nonzero, max_lag_steps, n_up)
-    else:
-        padded = np.zeros((len(bins), n_up // 2 + 1), dtype=complex)
-        padded[:, :bins.shape[1]] = bins
-        lags = np.arange(-max_lag_steps, max_lag_steps + 1)
-        values = np.fft.irfft(padded, n=n_up)[:, lags % n_up]
+    values = _lag_window(np.conj(rows[:, :num_bins]) * weights, max_lag_steps,
+                         n * upsample_factor)
     values *= upsample_factor
     lag_spacing = 1.0 / (phis.bin_spacing * n * upsample_factor)
     return [CorrelationFunction(values=v, lag_spacing=lag_spacing,
@@ -347,43 +346,27 @@ def correlate_many(phis: Spectrum | Sequence[Spectrum], upsample_factor: int = 1
             for v in values]
 
 
-def _direct_eval_cheaper(num_bins: int, max_lag_steps: int, batch: int,
-                         n_up: int) -> bool:
-    # phase table cost vs batched inverse FFTs; exp dominates at ~25 ns per
-    # entry against ~1 ns per FFT point-log
-    return num_bins * (max_lag_steps + 1) * 25 \
-        < batch * n_up * max(np.log2(n_up), 1.0)
+def _lag_window(coeffs: np.ndarray, max_lag_steps: int, n_up: int) -> np.ndarray:
+    """``Re sum_k coeffs[:, k] exp(2 pi i k l / n_up) / n_up`` for every lag
+    l in [-max_lag_steps, max_lag_steps], row by row, lag 0 in the middle.
 
-
-def _evaluate_lags(bins: np.ndarray, nonzero: np.ndarray,
-                   max_lag_steps: int, n_up: int) -> np.ndarray:
-    """Hermitian inverse DFT of stacked one-sided spectra on a centered lag
-    window.
-
-    ``bins`` has shape (batch, original_bins) and may be shorter than the
-    upsampled one-sided length; the missing bins are zero by construction.
-    Returns (batch, 2 * max_lag_steps + 1) with lag 0 in the middle. The
-    phase table covers non-negative lags only; negative lags reuse it
-    through conjugate symmetry.
+    Chirp-z transform (Rabiner, Schafer & Rader 1969): with
+    k l = (k^2 + l^2 - (l - k)^2) / 2 the sum is one circular convolution
+    with the chirp w_m = exp(i pi m^2 / n_up), whose phase is taken from
+    m^2 mod 2 n_up in integers so it stays exact for any m.
     """
-    batch = bins.shape[0]
-    lags_pos = np.arange(max_lag_steps + 1)
-    values = np.zeros((batch, 2 * max_lag_steps + 1))
-    center = max_lag_steps
-    interior = nonzero[(nonzero > 0) & (nonzero < n_up // 2 + n_up % 2)]
-    if interior.size:
-        phases = np.exp((2j * np.pi / n_up) * np.outer(lags_pos, interior))
-        sel = bins[:, interior]
-        both = np.concatenate([sel.T, sel.conj().T], axis=1)  # (k, 2*batch)
-        prod = phases @ both                                  # (lags, 2*batch)
-        values[:, center:] += 2.0 * prod[:, :batch].T.real
-        values[:, center::-1] += 2.0 * prod[:, batch:].T.real
-        values[:, center] -= 2.0 * prod[0, :batch].real  # lag 0 added twice
-    values += bins[:, 0].real[:, None]
-    if n_up % 2 == 0 and n_up // 2 < bins.shape[1]:
-        nyq = bins[:, n_up // 2].real[:, None]
-        lags = np.arange(-max_lag_steps, max_lag_steps + 1)
-        values += nyq * np.where(lags % 2 == 0, 1.0, -1.0)[None, :]
+    num_bins = coeffs.shape[-1]
+    span = num_bins + 2 * max_lag_steps
+    m = np.arange(num_bins + max_lag_steps, dtype=np.int64)
+    chirp = np.exp((1j * np.pi / n_up) * ((m * m) % (2 * n_up)))
+    # conj(w_{l - k}) for every l - k from 1 - num_bins - max_lag_steps up
+    # to max_lag_steps; w is even in m
+    kernel = np.conj(chirp[np.abs(np.arange(1 - num_bins - max_lag_steps,
+                                            max_lag_steps + 1))])
+    size = next_fast_len(span)
+    conv = ifft(fft(coeffs * chirp[:num_bins], size) * fft(kernel, size))
+    lags = np.abs(np.arange(-max_lag_steps, max_lag_steps + 1))
+    values = (conv[:, num_bins - 1: span] * chirp[lags]).real
     return values / n_up
 
 

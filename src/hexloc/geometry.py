@@ -35,12 +35,14 @@ class PropagationModel:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MicArray:
     """A six-element hexagonal microphone array posed on the 2D floor plane.
 
     ``elements`` holds global positions in meters, shape (num_elements, 2).
     Instances are treated as immutable; build them with :func:`build_hex_array`.
+    Two arrays are equal when every field is, the position arrays compared
+    element by element, so arrays can be set members and dictionary keys.
     """
 
     id: str
@@ -53,6 +55,20 @@ class MicArray:
     def __post_init__(self):
         if self.elements is None or len(self.elements) != self.num_elements:
             raise ValueError("elements must hold exactly num_elements positions")
+
+    def _scalars(self) -> tuple:
+        return (self.id, self.orientation, self.side_length, self.num_elements)
+
+    def __eq__(self, other):
+        if not isinstance(other, MicArray):
+            return NotImplemented
+        return self._scalars() == other._scalars() \
+            and np.array_equal(self.center, other.center) \
+            and np.array_equal(self.elements, other.elements)
+
+    def __hash__(self):
+        # tolist() gives Python floats, which hash -0.0 and 0.0 alike
+        return hash(self._scalars() + tuple(np.ravel(self.center).tolist()))
 
 
 def build_hex_array(center, orientation: float = 0.0,

@@ -52,6 +52,12 @@ def _require(obj: dict, key: str, context: str):
     return obj[key]
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SceneConfigError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def _propagation_model(config: dict, context: str) -> PropagationModel:
     """Speed of sound and sample rate from the optional keys of a scene or
     manifest; a value that is not a finite positive number names its key."""
@@ -71,6 +77,7 @@ def _propagation_model(config: dict, context: str) -> PropagationModel:
 
 
 def parse_array(entry: dict, context: str = "array entry") -> MicArray:
+    _object(entry, context)
     array_id = str(_require(entry, "id", context))
     center = _require(entry, "center_m", context)
     orientation = float(_require(entry, "orientation_rad", context))
@@ -87,6 +94,12 @@ def load_array_spec(path) -> MicArray:
     return parse_array(entry, context=str(path))
 
 
+def _echo(entry, context: str) -> Echo:
+    _object(entry, context)
+    return Echo(*(float(_require(entry, key, context))
+                  for key in ("delay_s", "gain", "azimuth_offset_deg")))
+
+
 def parse_scene(config: dict, context: str = "scene config",
                 base_dir=None) -> Scene:
     raw_arrays = _require(config, "arrays", context)
@@ -96,7 +109,7 @@ def parse_scene(config: dict, context: str = "scene config",
                    for k, a in enumerate(raw_arrays))
     source = _require(config, "source_m", context)
     model = _propagation_model(config, context)
-    signal = config.get("signal", {})
+    signal = _object(config.get("signal", {}), f"key 'signal' in {context}")
     kind = str(signal.get("kind", "speech"))
     source_samples = None
     if kind == "file":
@@ -105,11 +118,11 @@ def parse_scene(config: dict, context: str = "scene config",
             wav_path = Path(base_dir) / wav_path
         rec = read_wav(wav_path)
         source_samples = rec.samples.mean(axis=0)  # mono mixdown
-    echoes = tuple(
-        Echo(float(_require(e, "delay_s", f"{context}.echoes[{k}]")),
-             float(_require(e, "gain", f"{context}.echoes[{k}]")),
-             float(_require(e, "azimuth_offset_deg", f"{context}.echoes[{k}]")))
-        for k, e in enumerate(config.get("echoes", [])))
+    raw_echoes = config.get("echoes", [])
+    if not isinstance(raw_echoes, list):
+        raise SceneConfigError(f"key 'echoes' must be a list in {context}")
+    echoes = tuple(_echo(e, f"{context}.echoes[{k}]")
+                   for k, e in enumerate(raw_echoes))
     snr = config.get("snr_db")
     try:
         return Scene(arrays=arrays, source=np.asarray(source, dtype=float),

@@ -66,3 +66,38 @@ def line_point_distance(anchor, azimuth, point):
     nx, ny = math.cos(azimuth), math.sin(azimuth)
     dx, dy = point[0] - anchor[0], point[1] - anchor[1]
     return abs(nx * dy - ny * dx)
+
+
+def upsampled_correlation(bins, origin_length, upsample_factor, max_lag_steps):
+    """Correlation of a one-sided cross-power spectrum at integer lags
+    -max_lag_steps..max_lag_steps of the upsampled axis, lag 0 in the middle.
+
+    Written out as the inverse DFT: the spectrum is conjugated (positive
+    lag means channel 1 leads), mirrored into the two-sided spectrum of the
+    length-``origin_length`` signal, zero-padded in the middle to
+    ``n_up = origin_length * upsample_factor`` bins (an even length's
+    Nyquist bin is split in half between +f_nyq and -f_nyq once it is no
+    longer the last bin), and summed as ``upsample_factor / n_up *
+    sum_k Y[k] exp(2 pi i k l / n_up)`` one lag at a time, with ``k l``
+    reduced modulo ``n_up`` in integers.
+    """
+    n = int(origin_length)
+    n_up = n * int(upsample_factor)
+    two_sided = np.zeros(n_up, dtype=complex)
+    for k in range(n // 2 + 1):
+        value = np.conj(complex(bins[k]))
+        if k == 0 or (2 * k == n and upsample_factor == 1):
+            two_sided[k] = value
+        elif 2 * k == n:
+            two_sided[k] = value / 2.0
+            two_sided[n_up - k] = np.conj(value) / 2.0
+        else:
+            two_sided[k] = value
+            two_sided[n_up - k] = np.conj(value)
+    ks = np.flatnonzero(two_sided)  # the zero padding adds nothing to the sum
+    values = []
+    for lag in range(-max_lag_steps, max_lag_steps + 1):
+        phase = 2.0 * np.pi * ((ks * lag) % n_up) / n_up
+        total = np.sum(two_sided[ks] * np.exp(1j * phase))
+        values.append(upsample_factor * total.real / n_up)
+    return np.array(values)

@@ -172,6 +172,19 @@ def test_simulate_zero_speed_of_sound_exit_2(tmp_path, capsys):
     assert "speed_of_sound_m_s" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, key", [
+    ({"signal": "speech"}, "signal"),
+    ({"echoes": {"delay_s": 0.004}}, "echoes"),
+    ({"echoes": [0.004]}, "echoes[0]"),
+    ({"arrays": [5]}, "arrays[0]"),
+], ids=["signal-string", "echoes-object", "echo-number", "array-number"])
+def test_simulate_wrong_entry_type_exit_2(tmp_path, capsys, extra, key):
+    config = scene_config(tmp_path, **extra)
+    assert cli.main(["simulate", str(config), "--out-dir",
+                     str(tmp_path / "out")]) == cli.EXIT_USAGE
+    assert key in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["aoa", "localize", "eval"])
 def test_invalid_pipeline_flag_exit_2(tmp_path, capsys, command):
     if command == "eval":

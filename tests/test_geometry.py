@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hexloc import geometry
+from hexloc import geometry, io as hio
 from hexloc.geometry import (MicArray, PropagationModel, build_hex_array,
                              mic_pairs, pair_baseline, predicted_pair_delay,
                              spatial_resolution)
@@ -56,6 +56,30 @@ def test_mic_array_requires_all_elements():
     with pytest.raises(ValueError):
         MicArray(id="x", center=np.zeros(2), orientation=0.0,
                  elements=np.zeros((3, 2)))
+
+
+def test_mic_array_value_equality_and_hash():
+    a = build_hex_array((0.0, 0.0))
+    same = build_hex_array((0.0, 0.0))
+    assert a == same and not a != same
+    assert hash(a) == hash(same)
+    assert build_hex_array((-0.0, 0.0)) == a
+    assert hash(build_hex_array((-0.0, 0.0))) == hash(a)
+    for other in (build_hex_array((0.0, 1e-9)),
+                  build_hex_array((0.0, 0.0), orientation=0.1),
+                  build_hex_array((0.0, 0.0), side_length=0.05),
+                  build_hex_array((0.0, 0.0), array_id="B"),
+                  MicArray(id="array", center=np.zeros(2), orientation=0.0,
+                           elements=a.elements + 1e-12)):
+        assert a != other
+    assert a != "array"
+    assert {a, same, build_hex_array((1.0, 0.0))} == {a, build_hex_array((1.0, 0.0))}
+    assert same in {a}
+
+
+def test_mic_array_json_round_trip_is_equal():
+    a = build_hex_array((2.5, -1.25), 0.7, 0.05, array_id="A7")
+    assert hio.parse_array(hio.array_to_json(a)) == a
 
 
 def test_pair_delay_along_baseline():
