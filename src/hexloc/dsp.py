@@ -9,7 +9,7 @@ microphone 1 first.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
@@ -78,11 +78,13 @@ class Spectrum:
 
     ``bins`` may carry leading batch axes, shape (..., origin_length // 2 + 1);
     every row then shares the same layout (bin spacing and origin length).
+    A trimmed spectrum's bins start at bin ``first_bin``; all others are zero.
     """
 
     bins: np.ndarray
     bin_spacing: float
     origin_length: int
+    first_bin: int = field(default=0, init=False)
 
     def __post_init__(self):
         bins = np.asarray(self.bins, dtype=complex)
@@ -101,15 +103,23 @@ class Spectrum:
 
     @property
     def frequencies(self) -> np.ndarray:
-        return np.arange(self.bins.shape[-1]) * self.bin_spacing
+        return (self.first_bin + np.arange(self.bins.shape[-1])) * self.bin_spacing
 
     def rows(self, index) -> Spectrum:
         """The spectra at ``index`` along the leading batch axis."""
-        return _derived(self.bins[index], self.bin_spacing, self.origin_length)
+        return _derived(self.bins[index], self.bin_spacing, self.origin_length,
+                        self.first_bin)
+
+    def trimmed(self) -> Spectrum:
+        """A view without the bins at either end that are zero in every row."""
+        nonzero = np.any(self.bins.reshape(-1, self.bins.shape[-1]), axis=0)
+        lo, hi = np.argmax(nonzero), nonzero.size - np.argmax(nonzero[::-1])
+        return _derived(self.bins[..., lo:hi], self.bin_spacing,
+                        self.origin_length, self.first_bin + int(lo))
 
 
-def _derived(bins: np.ndarray, bin_spacing: float,
-             origin_length: int) -> Spectrum:
+def _derived(bins: np.ndarray, bin_spacing: float, origin_length: int,
+             first_bin: int = 0) -> Spectrum:
     """A spectrum computed here from valid input, built without the O(n)
     real-DC/Nyquist re-check: a real signal's spectrum keeps those bins real
     through every kernel in this module."""
@@ -117,6 +127,7 @@ def _derived(bins: np.ndarray, bin_spacing: float,
     object.__setattr__(out, "bins", bins)
     object.__setattr__(out, "bin_spacing", bin_spacing)
     object.__setattr__(out, "origin_length", origin_length)
+    object.__setattr__(out, "first_bin", first_bin)
     return out
 
 
@@ -165,7 +176,10 @@ def real_spectrum(signal: RealSignal | MultichannelRecording,
 
 def inverse_real_spectrum(spectrum: Spectrum) -> np.ndarray:
     """Inverse of :func:`real_spectrum`; returns ``origin_length`` samples."""
-    return np.fft.irfft(spectrum.bins, n=spectrum.origin_length)
+    n, first = spectrum.origin_length, spectrum.first_bin
+    bins = np.zeros(spectrum.bins.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    bins[..., first:first + spectrum.bins.shape[-1]] = spectrum.bins
+    return np.fft.irfft(bins, n=n)
 
 
 def bandpass(signal: RealSignal | MultichannelRecording, low_hz: float,
@@ -225,14 +239,14 @@ def bandpass_recording(rec: MultichannelRecording, low_hz: float,
 def cross_power(a: Spectrum, b: Spectrum) -> Spectrum:
     """Bin-wise cross-power spectrum a * conj(b), row by row."""
     if a.bins.shape != b.bins.shape or a.bin_spacing != b.bin_spacing \
-            or a.origin_length != b.origin_length:
+            or a.origin_length != b.origin_length or a.first_bin != b.first_bin:
         raise ValueError("cross_power requires identically shaped spectra")
     # conj(b) times a, in place: numpy's SIMD complex product is not bitwise
     # commutative, and one fixed order keeps a row's bits independent of the
     # batch size (numpy reuses large temporaries in place, operands swapped)
     bins = np.conj(b.bins)
     bins *= a.bins
-    return _derived(bins, a.bin_spacing, a.origin_length)
+    return _derived(bins, a.bin_spacing, a.origin_length, a.first_bin)
 
 
 def phat_weight(g: Spectrum, epsilon: float = PHAT_EPSILON) -> Spectrum:
@@ -247,7 +261,7 @@ def phat_weight(g: Spectrum, epsilon: float = PHAT_EPSILON) -> Spectrum:
     peak = np.max(mag, axis=-1, keepdims=True)
     # an all-zero row divides by 1 and stays zero
     np.maximum(mag, np.where(peak > 0.0, epsilon * peak, 1.0), out=mag)
-    return _derived(g.bins / mag, g.bin_spacing, g.origin_length)
+    return _derived(g.bins / mag, g.bin_spacing, g.origin_length, g.first_bin)
 
 
 def band_limit(spectrum: Spectrum, low_hz: float, high_hz: float) -> Spectrum:
@@ -262,7 +276,8 @@ def band_limit(spectrum: Spectrum, low_hz: float, high_hz: float) -> Spectrum:
         raise ValueError(f"invalid band [{low_hz}, {high_hz}]")
     freqs = spectrum.frequencies
     bins = np.where((freqs >= low_hz) & (freqs <= high_hz), spectrum.bins, 0.0)
-    return _derived(bins, spectrum.bin_spacing, spectrum.origin_length)
+    return _derived(bins, spectrum.bin_spacing, spectrum.origin_length,
+                    spectrum.first_bin)
 
 
 def correlation_support_steps(origin_length: int, upsample_factor: int) -> int:
@@ -288,7 +303,7 @@ def correlate(phi: Spectrum, upsample_factor: int = 1,
     ``max_lag_steps`` restricts the output to lags within that many indices
     of zero; the values equal the corresponding slice of the full function,
     and both come from the same chirp-z pass, whose cost grows with the
-    window and the highest nonzero bin rather than the upsampled length.
+    window and the span of nonzero bins rather than the upsampled length.
     This is the batch-of-one case of :func:`correlate_many`.
     """
     [corr] = correlate_many(phi, upsample_factor, max_lag_steps)
@@ -310,10 +325,11 @@ def correlate_many(phis: Spectrum | Sequence[Spectrum], upsample_factor: int = 1
         first = phis[0]
         for p in phis[1:]:
             if p.origin_length != first.origin_length \
-                    or p.bin_spacing != first.bin_spacing:
+                    or p.bin_spacing != first.bin_spacing \
+                    or p.first_bin != first.first_bin:
                 raise ValueError("correlate_many requires a homogeneous batch")
         phis = _derived(np.stack([p.bins for p in phis]), first.bin_spacing,
-                        first.origin_length)
+                        first.origin_length, first.first_bin)
     if upsample_factor < 1:
         raise ValueError(f"upsample_factor must be >= 1, got {upsample_factor}")
     n = phis.origin_length
@@ -325,19 +341,15 @@ def correlate_many(phis: Spectrum | Sequence[Spectrum], upsample_factor: int = 1
             f"max_lag_steps {max_lag_steps} outside correlation support "
             f"({support} steps)")
 
+    phis = phis.trimmed()
     rows = phis.bins.reshape(-1, phis.bins.shape[-1])
-    nonzero = np.flatnonzero(np.any(rows, axis=0))
-    num_bins = nonzero[-1] + 1 if nonzero.size else 1
+    k = np.arange(phis.first_bin, phis.first_bin + rows.shape[-1])
     # each interior bin stands for itself and its mirror image; DC and an
     # even length's Nyquist bin (split in half across +-f_nyq when
     # upsampling makes it interior) count once
-    weights = np.full(num_bins, 2.0)
-    weights[0] = 1.0
-    if n % 2 == 0 and n // 2 < num_bins:
-        weights[n // 2] = 1.0
-    # conjugated so a delayed second channel yields a positive-lag peak; the
-    # all-zero bins above the last nonzero one are not copied
-    values = _lag_window(np.conj(rows[:, :num_bins]) * weights, max_lag_steps,
+    weights = np.where((k == 0) | (2 * k == n), 1.0, 2.0)
+    # conjugated so a delayed second channel yields a positive-lag peak
+    values = _lag_window(np.conj(rows) * weights, phis.first_bin, max_lag_steps,
                          n * upsample_factor)
     values *= upsample_factor
     lag_spacing = 1.0 / (phis.bin_spacing * n * upsample_factor)
@@ -346,9 +358,11 @@ def correlate_many(phis: Spectrum | Sequence[Spectrum], upsample_factor: int = 1
             for v in values]
 
 
-def _lag_window(coeffs: np.ndarray, max_lag_steps: int, n_up: int) -> np.ndarray:
-    """``Re sum_k coeffs[:, k] exp(2 pi i k l / n_up) / n_up`` for every lag
-    l in [-max_lag_steps, max_lag_steps], row by row, lag 0 in the middle.
+def _lag_window(coeffs: np.ndarray, first_bin: int, max_lag_steps: int,
+                n_up: int) -> np.ndarray:
+    """``Re sum_k coeffs[:, k - first_bin] exp(2 pi i k l / n_up) / n_up``
+    over the bins k from ``first_bin`` on, for every lag l in
+    [-max_lag_steps, max_lag_steps], row by row, lag 0 in the middle.
 
     Chirp-z transform (Rabiner, Schafer & Rader 1969): with
     k l = (k^2 + l^2 - (l - k)^2) / 2 the sum is one circular convolution
@@ -356,15 +370,16 @@ def _lag_window(coeffs: np.ndarray, max_lag_steps: int, n_up: int) -> np.ndarray
     m^2 mod 2 n_up in integers so it stays exact for any m.
     """
     num_bins = coeffs.shape[-1]
+    last = first_bin + num_bins
     span = num_bins + 2 * max_lag_steps
-    m = np.arange(num_bins + max_lag_steps, dtype=np.int64)
+    m = np.arange(last + max_lag_steps, dtype=np.int64)
     chirp = np.exp((1j * np.pi / n_up) * ((m * m) % (2 * n_up)))
-    # conj(w_{l - k}) for every l - k from 1 - num_bins - max_lag_steps up
-    # to max_lag_steps; w is even in m
-    kernel = np.conj(chirp[np.abs(np.arange(1 - num_bins - max_lag_steps,
-                                            max_lag_steps + 1))])
+    # conj(w_{l - k}) for every l - k from 1 - last - max_lag_steps up to
+    # max_lag_steps - first_bin; w is even in m
+    kernel = np.conj(chirp[np.abs(np.arange(1 - last - max_lag_steps,
+                                            max_lag_steps - first_bin + 1))])
     size = next_fast_len(span)
-    conv = ifft(fft(coeffs * chirp[:num_bins], size) * fft(kernel, size))
+    conv = ifft(fft(coeffs * chirp[first_bin:last], size) * fft(kernel, size))
     lags = np.abs(np.arange(-max_lag_steps, max_lag_steps + 1))
     values = (conv[:, num_bins - 1: span] * chirp[lags]).real
     return values / n_up

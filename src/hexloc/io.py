@@ -58,20 +58,25 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _number(obj: dict, key: str, context: str, default=None) -> float:
+    raw = _require(obj, key, context) if default is None else obj.get(key, default)
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise SceneConfigError(
+            f"key '{key}' must be a number in {context}, got {raw!r}") from None
+
+
 def _propagation_model(config: dict, context: str) -> PropagationModel:
     """Speed of sound and sample rate from the optional keys of a scene or
     manifest; a value that is not a finite positive number names its key."""
     values = []
     for key, default in (("speed_of_sound_m_s", geometry.SPEED_OF_SOUND_M_S),
                          ("sample_rate_hz", geometry.SAMPLE_RATE_HZ)):
-        raw = config.get(key, default)
-        try:
-            value = float(raw)
-        except (TypeError, ValueError):
-            value = math.nan
+        value = _number(config, key, context, default)
         if not (math.isfinite(value) and value > 0):
             raise SceneConfigError(
-                f"key '{key}' must be a positive number in {context}, got {raw!r}")
+                f"key '{key}' must be a positive number in {context}, got {value!r}")
         values.append(value)
     return PropagationModel(*values)
 
@@ -80,8 +85,8 @@ def parse_array(entry: dict, context: str = "array entry") -> MicArray:
     _object(entry, context)
     array_id = str(_require(entry, "id", context))
     center = _require(entry, "center_m", context)
-    orientation = float(_require(entry, "orientation_rad", context))
-    side = float(entry.get("side_length_m", geometry.HEX_SIDE_M))
+    orientation = _number(entry, "orientation_rad", context)
+    side = _number(entry, "side_length_m", context, geometry.HEX_SIDE_M)
     try:
         return geometry.build_hex_array(center, orientation, side, array_id)
     except ValueError as exc:
@@ -96,8 +101,7 @@ def load_array_spec(path) -> MicArray:
 
 def _echo(entry, context: str) -> Echo:
     _object(entry, context)
-    return Echo(*(float(_require(entry, key, context))
-                  for key in ("delay_s", "gain", "azimuth_offset_deg")))
+    return Echo(*(_number(entry, key, context) for key in Echo._fields))
 
 
 def parse_scene(config: dict, context: str = "scene config",
@@ -127,10 +131,11 @@ def parse_scene(config: dict, context: str = "scene config",
     try:
         return Scene(arrays=arrays, source=np.asarray(source, dtype=float),
                      signal_kind=kind,
-                     duration=float(config.get("duration_s", sim.DEFAULT_DURATION_S)),
+                     duration=_number(config, "duration_s", context,
+                                      sim.DEFAULT_DURATION_S),
                      snr_db=math.inf if snr is None else float(snr),
                      echoes=echoes, seed=int(config.get("seed", 0)), model=model,
-                     tone_hz=float(signal.get("tone_hz", 1000.0)),
+                     tone_hz=_number(signal, "tone_hz", f"{context}.signal", 1000.0),
                      source_samples=source_samples)
     except ValueError as exc:
         raise SceneConfigError(f"invalid scene: {exc}") from exc

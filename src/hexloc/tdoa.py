@@ -1,11 +1,11 @@
 """Pairwise time-difference-of-arrival estimation with subsample refinement.
 
-Each time window's channel matrix is transformed once; the estimator chain
-cross_power -> band_limit -> phat_weight -> correlate_many then runs over the
-whole pair table at once, followed per pair by an integer-grid argmax
-restricted to physically feasible lags and a least-squares quadratic fit over
-a 6-point window around the peak whose vertex (-b / 2a) supplies the
-subsample correction. A single pair goes through the same path.
+Each time window's channel matrix is transformed once and band-gated once,
+keeping only the band's bins; the estimator chain cross_power -> phat_weight
+-> correlate_many then runs on those bins over the whole pair table at once,
+followed per pair by an integer-grid argmax restricted to feasible lags and a
+least-squares quadratic fit over a 6-point window around the peak whose vertex
+(-b / 2a) supplies the subsample correction. A single pair takes this path.
 """
 
 from __future__ import annotations
@@ -133,15 +133,15 @@ def _pair_delays(spectra: Spectrum, pairs: list[tuple[int, int]],
                  window_index: int,
                  band_hz: tuple[float, float] | None) -> list[PairDelay]:
     """Delays for channel pairs of one window, given the window's stacked
-    channel spectra: cross-power, band gate and PHAT over the pair table,
-    then one batched correlation over a lag window shared by all pairs,
-    each searched within its own max lag."""
+    channel spectra: band gate, then cross-power and PHAT over the pair
+    table, then one batched correlation over a lag window shared by all
+    pairs, each searched within its own max lag."""
+    if band_hz is not None:  # gating a channel gates its every product
+        spectra = dsp.band_limit(spectra, *band_hz).trimmed()
     first, second = np.array(pairs).T
     g = dsp.cross_power(spectra.rows(first), spectra.rows(second))
-    if band_hz is not None:
-        g = dsp.band_limit(g, *band_hz)
-        if not np.all(np.any(g.bins, axis=-1)):
-            raise NoSignalError("no cross-power energy inside the band")
+    if band_hz is not None and not np.all(np.any(g.bins, axis=-1)):
+        raise NoSignalError("no cross-power energy inside the band")
     phi = dsp.phat_weight(g)
     del g  # released before the lag evaluation, which sets the peak memory
 

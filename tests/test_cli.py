@@ -185,6 +185,23 @@ def test_simulate_wrong_entry_type_exit_2(tmp_path, capsys, extra, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, key", [
+    ({"echoes": [{"delay_s": "x", "gain": 0.5, "azimuth_offset_deg": 40.0}]},
+     "delay_s"),
+    ({"echoes": [{"delay_s": None, "gain": 0.5, "azimuth_offset_deg": 40.0}]},
+     "delay_s"),
+    ({"arrays": [{"id": "A1", "center_m": [0.0, 0.0], "orientation_rad": "x"}]},
+     "orientation_rad"),
+    ({"duration_s": None}, "duration_s"),
+], ids=["echo-delay-string", "echo-delay-null", "orientation-string",
+        "duration-null"])
+def test_simulate_non_numeric_value_exit_2(tmp_path, capsys, extra, key):
+    config = scene_config(tmp_path, **extra)
+    assert cli.main(["simulate", str(config), "--out-dir",
+                     str(tmp_path / "out")]) == cli.EXIT_USAGE
+    assert key in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["aoa", "localize", "eval"])
 def test_invalid_pipeline_flag_exit_2(tmp_path, capsys, command):
     if command == "eval":

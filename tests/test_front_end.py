@@ -1,7 +1,8 @@
 """The channel-matrix front end: stacked spectral kernels agree with their
 one-row calls, the windowed and batched correlation agree with the full
-single one and with a direct inverse DFT, and a lone pair delay agrees with
-the all-pairs expansion."""
+single one and with a direct inverse DFT, the band-trimmed pair chain agrees
+with the full-layout one, and a lone pair delay agrees with the all-pairs
+expansion."""
 
 import numpy as np
 import pytest
@@ -152,3 +153,120 @@ def test_pair_delay_is_the_expansion_entry():
         assert single.delay == pytest.approx(entry.delay, rel=0,
                                              abs=1e-9 * fine_step)
         assert single.peak_score == pytest.approx(entry.peak_score, rel=1e-9)
+
+
+@st.composite
+def band(draw):
+    """A band in Hz: from DC or above, up to Nyquist or below."""
+    nyq = FS / 2.0
+    low = draw(st.just(0.0) | st.floats(0.0, 0.9 * nyq))
+    high = draw(st.just(nyq) | st.floats(low + 1.0, nyq))
+    return low, high
+
+
+def zero_filled(spectrum):
+    """A spectrum's bins in the full one-sided layout."""
+    full = np.zeros(spectrum.bins.shape[:-1] + (spectrum.origin_length // 2 + 1,),
+                    dtype=complex)
+    full[..., spectrum.first_bin:spectrum.first_bin + spectrum.bins.shape[-1]] \
+        = spectrum.bins
+    return full
+
+
+def trimmed_chain(x, nfft, band_hz):
+    """Band gate and trim the channel spectra, then cross-power and PHAT of
+    every channel pair on the band's bins (the pair core's order)."""
+    spectra = dsp.real_spectrum(MultichannelRecording(x, FS), nfft)
+    gated = dsp.band_limit(spectra, *band_hz)
+    trimmed = gated.trimmed()
+    assert np.shares_memory(trimmed.bins, gated.bins)
+    first, second = np.array(mic_pairs(x.shape[0])).T
+    return dsp.phat_weight(dsp.cross_power(trimmed.rows(first),
+                                           trimmed.rows(second)))
+
+
+def full_chain(x, nfft, band_hz):
+    """Cross-power of every channel pair on all bins, then band gate, then
+    PHAT."""
+    spectra = dsp.real_spectrum(MultichannelRecording(x, FS), nfft)
+    first, second = np.array(mic_pairs(x.shape[0])).T
+    g = dsp.cross_power(spectra.rows(first), spectra.rows(second))
+    return dsp.phat_weight(dsp.band_limit(g, *band_hz))
+
+
+@PROPERTY
+@given(x=channel_matrix(), pad=st.integers(0, 64), band_hz=band())
+# the band starts at DC, and reaches Nyquist at an even and an odd length
+@example(x=np.random.default_rng(4).standard_normal((3, 64)), pad=0,
+         band_hz=(0.0, 3500.0))
+@example(x=np.random.default_rng(5).standard_normal((3, 64)), pad=0,
+         band_hz=(3500.0, FS / 2.0))
+@example(x=np.random.default_rng(6).standard_normal((3, 65)), pad=0,
+         band_hz=(3500.0, FS / 2.0))
+def test_trimmed_pair_chain_equals_full_layout(x, pad, band_hz):
+    nfft = x.shape[1] + pad
+    got = trimmed_chain(x, nfft, band_hz)
+    want = full_chain(x, nfft, band_hz)
+    assert (got.bin_spacing, got.origin_length) \
+        == (want.bin_spacing, want.origin_length)
+    np.testing.assert_array_equal(zero_filled(got), want.bins)
+    np.testing.assert_array_equal(
+        got.frequencies, want.frequencies[got.first_bin:][:got.bins.shape[-1]])
+
+
+@PROPERTY
+@given(x=channel_matrix(), up=st.integers(1, 8), band_hz=band(),
+       window=st.floats(0.0, 1.0))
+# the band covers DC and Nyquist, and one that starts above DC ends at an
+# even length's Nyquist bin
+@example(x=np.random.default_rng(7).standard_normal((2, 64)), up=2,
+         band_hz=(0.0, FS / 2.0), window=1.0)
+@example(x=np.random.default_rng(8).standard_normal((3, 90)), up=3,
+         band_hz=(3500.0, FS / 2.0), window=0.5)
+def test_correlate_many_on_trimmed_stack(x, up, band_hz, window):
+    nfft = x.shape[1]
+    trimmed = trimmed_chain(x, nfft, band_hz)
+    full = full_chain(x, nfft, band_hz)
+    support = dsp.correlation_support_steps(nfft, up)
+    steps = int(window * support)
+    got = dsp.correlate_many(trimmed, up, max_lag_steps=steps)
+    want = dsp.correlate_many(full, up, max_lag_steps=steps)
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert g.lag_spacing == w.lag_spacing
+        np.testing.assert_allclose(g.values, w.values, rtol=0, atol=1e-12)
+        oracle = oracles.upsampled_correlation(full.bins[k], nfft, up, steps)
+        np.testing.assert_allclose(g.values, oracle, rtol=0, atol=1e-12)
+
+
+def test_trimmed_spectrum_layout():
+    x = np.random.default_rng(9).standard_normal((2, 400))
+    spectra = dsp.real_spectrum(MultichannelRecording(x, FS))
+    gated = dsp.band_limit(spectra, *BAND)
+    trimmed = gated.trimmed()
+    # rows, the inverse transform and the band gate keep the offset
+    assert trimmed.first_bin > 0
+    assert trimmed.rows(1).first_bin == trimmed.first_bin
+    np.testing.assert_array_equal(dsp.inverse_real_spectrum(trimmed),
+                                  dsp.inverse_real_spectrum(gated))
+    again = dsp.band_limit(trimmed, *BAND)
+    assert again.first_bin == trimmed.first_bin
+    np.testing.assert_array_equal(again.bins, trimmed.bins)
+    # an all-zero spectrum has no nonzero bin to trim to
+    silent = dsp.band_limit(spectra, 1000.0, 1000.1)
+    assert silent.trimmed().bins.shape == spectra.bins.shape
+
+
+def test_cross_power_rejects_mismatched_extents():
+    x = np.random.default_rng(10).standard_normal((2, 400))
+    spectra = dsp.real_spectrum(MultichannelRecording(x, FS))
+    trimmed = dsp.band_limit(spectra, *BAND).trimmed()
+    with pytest.raises(ValueError):
+        dsp.cross_power(trimmed, spectra)  # different widths
+    shifted = dsp.band_limit(spectra, BAND[0] + 2 * spectra.bin_spacing,
+                             BAND[1] + 2 * spectra.bin_spacing).trimmed()
+    assert shifted.bins.shape == trimmed.bins.shape
+    assert shifted.first_bin != trimmed.first_bin
+    with pytest.raises(ValueError):
+        dsp.cross_power(trimmed, shifted)  # same width, different first bin
+    with pytest.raises(ValueError):
+        dsp.correlate_many([trimmed.rows(0), shifted.rows(0)])

@@ -253,3 +253,20 @@ def test_delay_within_baseline_bound_plus_slack():
     for e in dv.entries:
         bound = geometry.pair_baseline(array, e.pair) / MODEL.speed_of_sound
         assert abs(e.delay) <= bound + 1.0 / FS
+
+
+# --- dead input ---------------------------------------------------------------
+
+@pytest.mark.parametrize("dead", ["zero-channel", "sub-bin-band"])
+def test_dead_input_raises_no_signal(dead):
+    array = build_hex_array((0.0, 0.0), 0.3, array_id="A")
+    rec, _ = plane_wave_recording(array, 60.0, seed=15, snr_db=20.0)
+    band = dsp.DEFAULT_BAND_HZ
+    if dead == "zero-channel":
+        samples = rec.samples.copy()
+        samples[2] = 0.0
+        rec = MultichannelRecording(samples, rec.sample_rate)
+    else:  # narrower than one bin of the 2^16-point transform
+        band = (1000.0, 1000.1)
+    with pytest.raises(NoSignalError, match="no cross-power energy inside the band"):
+        expand_delay_features(rec, array, model=MODEL, band_hz=band)
