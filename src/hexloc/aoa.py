@@ -108,10 +108,8 @@ def _spectrum_peak(angles_deg: np.ndarray, scores: np.ndarray,
         return float(angles_deg[peak]), 0.0, True
     step = float(angles_deg[1] - angles_deg[0])
     offset = 0.0
-    if refine:
-        offset, _, ok = tdoa.quadratic_peak_offset(scores, peak, circular=True)
-        if not ok:
-            offset = 0.0
+    if refine:  # a non-concave fit leaves the offset at 0
+        offset, _, _ = tdoa.quadratic_peak_offset(scores, peak, circular=True)
     azimuth = (float(angles_deg[peak]) + offset * step) % 360.0
     prominence = float((scores.max() - np.median(scores)) / spread)
     return azimuth, prominence, False

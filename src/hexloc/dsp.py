@@ -8,14 +8,11 @@ microphone 1 first.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 from scipy.signal import fftconvolve, firwin, kaiserord
-
-from .errors import NoSignalError
 
 DEFAULT_BAND_HZ = (300.0, 3500.0)
 DEFAULT_UPSAMPLE = 8
@@ -78,7 +75,8 @@ class Spectrum:
 
     ``bins`` may carry leading batch axes, shape (..., origin_length // 2 + 1);
     every row then shares the same layout (bin spacing and origin length).
-    A trimmed spectrum's bins start at bin ``first_bin``; all others are zero.
+    The bins start at bin ``first_bin`` of the one-sided layout (a band's
+    bins, say); every bin they do not cover is zero.
     """
 
     bins: np.ndarray
@@ -109,13 +107,6 @@ class Spectrum:
         """The spectra at ``index`` along the leading batch axis."""
         return _derived(self.bins[index], self.bin_spacing, self.origin_length,
                         self.first_bin)
-
-    def trimmed(self) -> Spectrum:
-        """A view without the bins at either end that are zero in every row."""
-        nonzero = np.any(self.bins.reshape(-1, self.bins.shape[-1]), axis=0)
-        lo, hi = np.argmax(nonzero), nonzero.size - np.argmax(nonzero[::-1])
-        return _derived(self.bins[..., lo:hi], self.bin_spacing,
-                        self.origin_length, self.first_bin + int(lo))
 
 
 def _derived(bins: np.ndarray, bin_spacing: float, origin_length: int,
@@ -258,7 +249,7 @@ def phat_weight(g: Spectrum, epsilon: float = PHAT_EPSILON) -> Spectrum:
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     mag = np.abs(g.bins)
-    peak = np.max(mag, axis=-1, keepdims=True)
+    peak = np.max(mag, axis=-1, keepdims=True, initial=0.0)
     # an all-zero row divides by 1 and stays zero
     np.maximum(mag, np.where(peak > 0.0, epsilon * peak, 1.0), out=mag)
     return _derived(g.bins / mag, g.bin_spacing, g.origin_length, g.first_bin)
@@ -266,6 +257,10 @@ def phat_weight(g: Spectrum, epsilon: float = PHAT_EPSILON) -> Spectrum:
 
 def band_limit(spectrum: Spectrum, low_hz: float, high_hz: float) -> Spectrum:
     """Zero every bin outside [low_hz, high_hz], row by row.
+
+    The result is a view of the band's bins, starting at the band's first
+    bin; the bins outside it are zero by the :class:`Spectrum` layout, so
+    nothing is copied. A band narrower than one bin keeps no bins.
 
     Band-limited signals carry no delay information outside their band, only
     window-truncation leakage that PHAT would otherwise re-amplify to unit
@@ -275,9 +270,10 @@ def band_limit(spectrum: Spectrum, low_hz: float, high_hz: float) -> Spectrum:
     if not 0.0 <= low_hz < high_hz:
         raise ValueError(f"invalid band [{low_hz}, {high_hz}]")
     freqs = spectrum.frequencies
-    bins = np.where((freqs >= low_hz) & (freqs <= high_hz), spectrum.bins, 0.0)
-    return _derived(bins, spectrum.bin_spacing, spectrum.origin_length,
-                    spectrum.first_bin)
+    lo = int(np.searchsorted(freqs, low_hz, side="left"))
+    hi = int(np.searchsorted(freqs, high_hz, side="right"))
+    return _derived(spectrum.bins[..., lo:hi], spectrum.bin_spacing,
+                    spectrum.origin_length, spectrum.first_bin + lo)
 
 
 def correlation_support_steps(origin_length: int, upsample_factor: int) -> int:
@@ -303,33 +299,22 @@ def correlate(phi: Spectrum, upsample_factor: int = 1,
     ``max_lag_steps`` restricts the output to lags within that many indices
     of zero; the values equal the corresponding slice of the full function,
     and both come from the same chirp-z pass, whose cost grows with the
-    window and the span of nonzero bins rather than the upsampled length.
+    window and the spectrum's bins rather than the upsampled length.
     This is the batch-of-one case of :func:`correlate_many`.
     """
     [corr] = correlate_many(phi, upsample_factor, max_lag_steps)
     return corr
 
 
-def correlate_many(phis: Spectrum | Sequence[Spectrum], upsample_factor: int = 1,
+def correlate_many(phis: Spectrum, upsample_factor: int = 1,
                    max_lag_steps: int | None = None) -> list[CorrelationFunction]:
-    """:func:`correlate` for every row of a stacked spectrum, or for every
-    spectrum of a sequence sharing one layout.
+    """:func:`correlate` for every row of a stacked spectrum, in row-major
+    order of its batch axes.
 
     All rows go through one batched chirp-z transform over the lag window,
     with its chirp spectrum computed once for the batch, which is what makes
-    all-pairs delay expansion cheap.
+    all-pairs, all-windows delay expansion cheap.
     """
-    if not isinstance(phis, Spectrum):
-        if not phis:
-            return []
-        first = phis[0]
-        for p in phis[1:]:
-            if p.origin_length != first.origin_length \
-                    or p.bin_spacing != first.bin_spacing \
-                    or p.first_bin != first.first_bin:
-                raise ValueError("correlate_many requires a homogeneous batch")
-        phis = _derived(np.stack([p.bins for p in phis]), first.bin_spacing,
-                        first.origin_length, first.first_bin)
     if upsample_factor < 1:
         raise ValueError(f"upsample_factor must be >= 1, got {upsample_factor}")
     n = phis.origin_length
@@ -341,8 +326,10 @@ def correlate_many(phis: Spectrum | Sequence[Spectrum], upsample_factor: int = 1
             f"max_lag_steps {max_lag_steps} outside correlation support "
             f"({support} steps)")
 
-    phis = phis.trimmed()
-    rows = phis.bins.reshape(-1, phis.bins.shape[-1])
+    bins = phis.bins
+    if bins.shape[-1] == 0:  # a band without bins: zero everywhere
+        bins = np.zeros(bins.shape[:-1] + (1,), dtype=complex)
+    rows = bins.reshape(-1, bins.shape[-1])
     k = np.arange(phis.first_bin, phis.first_bin + rows.shape[-1])
     # each interior bin stands for itself and its mirror image; DC and an
     # even length's Nyquist bin (split in half across +-f_nyq when
@@ -388,10 +375,3 @@ def _lag_window(coeffs: np.ndarray, first_bin: int, max_lag_steps: int,
 def correlation_fft_length(signal_length: int) -> int:
     """FFT length avoiding circular wraparound: next power of two >= 2N-1."""
     return next_pow2(2 * signal_length - 1)
-
-
-def ensure_signal_present(*signals: RealSignal) -> None:
-    """Raise :class:`NoSignalError` if any input is entirely zero."""
-    for s in signals:
-        if not np.any(s.samples):
-            raise NoSignalError("input signal is all zeros")

@@ -127,14 +127,18 @@ def parse_scene(config: dict, context: str = "scene config",
         raise SceneConfigError(f"key 'echoes' must be a list in {context}")
     echoes = tuple(_echo(e, f"{context}.echoes[{k}]")
                    for k, e in enumerate(raw_echoes))
-    snr = config.get("snr_db")
+    snr_db = math.inf if config.get("snr_db") is None \
+        else _number(config, "snr_db", context)
+    seed = config.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise SceneConfigError(
+            f"key 'seed' must be a non-negative integer in {context}, got {seed!r}")
     try:
         return Scene(arrays=arrays, source=np.asarray(source, dtype=float),
                      signal_kind=kind,
                      duration=_number(config, "duration_s", context,
                                       sim.DEFAULT_DURATION_S),
-                     snr_db=math.inf if snr is None else float(snr),
-                     echoes=echoes, seed=int(config.get("seed", 0)), model=model,
+                     snr_db=snr_db, echoes=echoes, seed=seed, model=model,
                      tone_hz=_number(signal, "tone_hz", f"{context}.signal", 1000.0),
                      source_samples=source_samples)
     except ValueError as exc:

@@ -1,16 +1,18 @@
 """Pairwise time-difference-of-arrival estimation with subsample refinement.
 
-Each time window's channel matrix is transformed once and band-gated once,
-keeping only the band's bins; the estimator chain cross_power -> phat_weight
--> correlate_many then runs on those bins over the whole pair table at once,
-followed per pair by an integer-grid argmax restricted to feasible lags and a
-least-squares quadratic fit over a 6-point window around the peak whose vertex
-(-b / 2a) supplies the subsample correction. A single pair takes this path.
+All time windows of all channels are transformed in one pass, as the rows of
+a (channels x windows, window_len) matrix, and band-gated by taking the
+band's bins as a view. The estimator chain cross_power -> phat_weight ->
+correlate_many then runs once over every pair of every window, followed by
+one integer-grid argmax per row, restricted to the pair's feasible lags, and
+one vectorised least-squares quadratic fit over a 6-point window around each
+peak whose vertex (-b / 2a) supplies the subsample correction. A single pair
+takes this path as a one-row batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,40 +64,56 @@ class DelayVector:
             seen.add(key)
 
 
-def quadratic_peak_offset(values: np.ndarray, peak: int,
-                          circular: bool = False) -> tuple[float, float, bool]:
-    """Subsample offset of a discrete peak via a least-squares parabola.
+def _parabola_stencils() -> np.ndarray:
+    """Least-squares fits of f(t) = a t^2 + b t + c, as (3, 6) matrices that
+    map the samples at t = -2 .. 3 about a peak to (a, b, c): over all six,
+    over t = -2 .. 2, and over t = -1 .. 1."""
+    t = np.arange(-2, 4)
+    stencils = np.zeros((3, 3, t.size))
+    for stencil, k in zip(stencils, (3, 2, 1)):
+        used = np.abs(t) <= k
+        stencil[:, used] = np.linalg.pinv(np.vander(t[used], 3))
+    return stencils
+
+
+_PARABOLA_STENCILS = _parabola_stencils()
+
+
+def quadratic_peak_offset(values: np.ndarray, peak: int | np.ndarray,
+                          circular: bool = False) -> tuple:
+    """Subsample offset of a discrete peak via a least-squares parabola,
+    row by row: ``values`` has shape (..., n) and ``peak`` one index per row.
 
     Fits f(t) = a t^2 + b t + c over the six samples at indices
-    peak-2 .. peak+3 (t centered for conditioning) and converts the vertex
-    -b / 2a back to an offset from ``peak``, clamped to [-1, +1] grid steps.
-    Near a boundary the window shrinks symmetrically, down to 3 points.
+    peak-2 .. peak+3 (t counted from the peak) and returns the vertex
+    -b / 2a, clamped to [-1, +1] grid steps. Near a boundary the window
+    shrinks symmetrically, down to 3 points.
 
-    Returns (offset_in_steps, value_at_vertex, concave). A non-concave fit
-    falls back to offset 0 with the discrete peak value.
+    Returns (offset_in_steps, value_at_vertex, concave), each with the
+    shape of ``peak``: floats for one row. A non-concave fit falls back to
+    offset 0 with the discrete peak value.
     """
     values = np.asarray(values, dtype=float)
-    n = values.size
+    peak = np.asarray(peak)
+    n = values.shape[-1]
+    positions = peak[..., None] + np.arange(-2, 4)
     if circular:
-        positions = np.arange(peak - 2, peak + 4)
-        window = values[positions % n]
+        fit = np.zeros(peak.shape, dtype=int)
+        positions %= n
     else:
-        if peak - 2 >= 0 and peak + 3 < n:
-            positions = np.arange(peak - 2, peak + 4)
-        else:
-            k = min(peak, n - 1 - peak, 2)
-            if k < 1:
-                return 0.0, float(values[peak]), False
-            positions = np.arange(peak - k, peak + k + 1)
-        window = values[positions]
-    t = positions - positions.mean()
-    a, b, c = np.polyfit(t, window, 2)
-    if a >= 0 or not np.isfinite(a):
-        return 0.0, float(values[peak]), False
-    vertex_t = -b / (2.0 * a)
-    offset = float(np.clip(vertex_t + (positions.mean() - peak), -1.0, 1.0))
-    vertex_value = float(c - b * b / (4.0 * a))
-    return offset, vertex_value, True
+        room = np.minimum(peak, n - 1 - peak)
+        fit = np.where(room >= 2, np.where(peak + 3 < n, 0, 1), 2)
+        np.clip(positions, 0, n - 1, out=positions)
+    window = np.take_along_axis(values, positions, axis=-1)
+    a, b, c = np.moveaxis(
+        np.matmul(_PARABOLA_STENCILS[fit], window[..., None])[..., 0], -1, 0)
+    concave = np.isfinite(a) & (a < 0)
+    if not circular:
+        concave &= room >= 1
+    a = np.where(concave, a, -1.0)
+    offset = np.where(concave, np.clip(-b / (2.0 * a), -1.0, 1.0), 0.0)
+    vertex_value = np.where(concave, c - b * b / (4.0 * a), window[..., 2])
+    return offset[()], vertex_value[()], concave[()]
 
 
 def refine_peak(corr: CorrelationFunction, peak_index: int) -> tuple[float, bool]:
@@ -108,57 +126,48 @@ def refine_peak(corr: CorrelationFunction, peak_index: int) -> tuple[float, bool
         raise ValueError(f"peak_index {peak_index} out of range")
     offset, _, ok = quadratic_peak_offset(corr.values, peak_index)
     lag = (peak_index - corr.center + offset) * corr.lag_spacing
-    return float(lag), ok
+    return float(lag), bool(ok)
 
 
 REFINE_MARGIN = 3
 
 
-def _pick_peak(corr, max_steps: int, refine: bool, pair: tuple[int, int],
-               window_index: int) -> PairDelay:
-    lo = corr.center - max_steps
-    window = corr.values[lo: corr.center + max_steps + 1]
-    peak = int(np.argmax(window)) + lo
-    if refine:
-        offset, score, ok = quadratic_peak_offset(corr.values, peak)
-    else:
-        offset, score, ok = 0.0, float(corr.values[peak]), True
-    delay = (peak - corr.center + offset) * corr.lag_spacing
-    return PairDelay(pair=pair, delay=float(delay), peak_score=score,
-                     window_index=window_index, low_confidence=not ok)
-
-
-def _pair_delays(spectra: Spectrum, pairs: list[tuple[int, int]],
+def _pair_delays(spectra: Spectrum, first: np.ndarray, second: np.ndarray,
                  max_lags: list[float], upsample_factor: int, refine: bool,
-                 window_index: int,
-                 band_hz: tuple[float, float] | None) -> list[PairDelay]:
-    """Delays for channel pairs of one window, given the window's stacked
-    channel spectra: band gate, then cross-power and PHAT over the pair
-    table, then one batched correlation over a lag window shared by all
-    pairs, each searched within its own max lag."""
+                 band_hz: tuple[float, float] | None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(delays, peak scores, concave flags) for every pair of spectrum rows
+    ``first[w, p]``, ``second[w, p]``: band gate, then cross-power and PHAT
+    over all the pair rows, one batched correlation over a lag window shared
+    by all of them, an argmax within pair p's own max lag ``max_lags[p]``
+    and one vectorised peak fit."""
     if band_hz is not None:  # gating a channel gates its every product
-        spectra = dsp.band_limit(spectra, *band_hz).trimmed()
-    first, second = np.array(pairs).T
+        spectra = dsp.band_limit(spectra, *band_hz)
     g = dsp.cross_power(spectra.rows(first), spectra.rows(second))
-    if band_hz is not None and not np.all(np.any(g.bins, axis=-1)):
+    if not np.all(np.any(g.bins, axis=-1)):
         raise NoSignalError("no cross-power energy inside the band")
     phi = dsp.phat_weight(g)
     del g  # released before the lag evaluation, which sets the peak memory
 
     lag_spacing = 1.0 / (phi.bin_spacing * phi.origin_length * upsample_factor)
     support = dsp.correlation_support_steps(phi.origin_length, upsample_factor)
-    steps = []
-    for max_lag in max_lags:
-        max_steps = int(np.floor(max_lag / lag_spacing))
-        if max_steps > support:
-            raise ValueError(
-                f"max_lag {max_lag} s exceeds the correlation support "
-                f"({support * lag_spacing} s)")
-        steps.append(max(max_steps, 1))
-    shared = min(max(steps) + REFINE_MARGIN, support)
+    steps = np.floor(np.asarray(max_lags) / lag_spacing)
+    if np.any(steps > support):
+        raise ValueError(
+            f"max_lag {max(max_lags)} s exceeds the correlation support "
+            f"({support * lag_spacing} s)")
+    steps = np.maximum(steps.astype(int), 1)
+    shared = min(int(steps.max()) + REFINE_MARGIN, support)
     corrs = dsp.correlate_many(phi, upsample_factor, max_lag_steps=shared)
-    return [_pick_peak(corr, max_steps, refine, pair, window_index)
-            for pair, corr, max_steps in zip(pairs, corrs, steps)]
+    values = np.stack([c.values for c in corrs]).reshape(first.shape + (-1,))
+    lags = np.abs(np.arange(-shared, shared + 1))
+    peak = np.argmax(np.where(lags <= steps[:, None], values, -np.inf), axis=-1)
+    if refine:
+        offset, score, concave = quadratic_peak_offset(values, peak)
+    else:
+        offset, concave = 0.0, np.ones(peak.shape, dtype=bool)
+        score = np.take_along_axis(values, peak[..., None], axis=-1)[..., 0]
+    return (peak - shared + offset) * lag_spacing, score, concave
 
 
 def estimate_pair_delay(x1: RealSignal, x2: RealSignal, max_lag: float,
@@ -178,13 +187,14 @@ def estimate_pair_delay(x1: RealSignal, x2: RealSignal, max_lag: float,
         raise ValueError("signals must share length and sample rate")
     if not max_lag > 0:
         raise ValueError(f"max_lag must be positive, got {max_lag}")
-    dsp.ensure_signal_present(x1, x2)
     nfft = dsp.correlation_fft_length(x1.samples.size)
     spectra = dsp.real_spectrum(MultichannelRecording(
         np.stack([x1.samples, x2.samples]), x1.sample_rate), nfft)
-    [delay] = _pair_delays(spectra, [(0, 1)], [max_lag], upsample_factor,
-                           refine, window_index, band_hz)
-    return replace(delay, pair=pair)
+    [[delay]], [[score]], [[concave]] = _pair_delays(
+        spectra, np.array([[0]]), np.array([[1]]), [max_lag], upsample_factor,
+        refine, band_hz)
+    return PairDelay(pair=pair, delay=float(delay), peak_score=float(score),
+                     window_index=window_index, low_confidence=not concave)
 
 
 def default_max_lag(array: MicArray, pair: tuple[int, int],
@@ -222,14 +232,20 @@ def expand_delay_features(rec: MultichannelRecording, array: MicArray,
     pairs = geometry.mic_pairs(array.num_elements)
     max_lags = [default_max_lag(array, pair, model) for pair in pairs]
     nfft = dsp.correlation_fft_length(window_len)
-    entries = []
-    for w in range(num_windows):
-        seg = rec.samples[:, w * window_len:(w + 1) * window_len]
-        if not np.any(seg):
-            raise NoSignalError(f"window {w} is all zeros")
-        spectra = dsp.real_spectrum(MultichannelRecording(seg, rec.sample_rate),
-                                    nfft)
-        entries.extend(_pair_delays(spectra, pairs, max_lags, upsample_factor,
-                                    refine, w, band_hz))
-    return DelayVector(entries=tuple(entries), source_array=array.id,
+    # row c * num_windows + w holds window w of channel c
+    rows = rec.samples[:, :num_windows * window_len].reshape(-1, window_len)
+    spectra = dsp.real_spectrum(MultichannelRecording(rows, rec.sample_rate),
+                                nfft)
+    first, second = np.array(pairs).T
+    windows = np.arange(num_windows)[:, None]
+    delays, scores, concave = _pair_delays(
+        spectra, first * num_windows + windows, second * num_windows + windows,
+        max_lags, upsample_factor, refine, band_hz)
+    entries = tuple(
+        PairDelay(pair=pair, delay=d, peak_score=s, window_index=w,
+                  low_confidence=not ok)
+        for w, (ds, ss, oks) in enumerate(zip(delays.tolist(), scores.tolist(),
+                                              concave.tolist()))
+        for pair, d, s, ok in zip(pairs, ds, ss, oks))
+    return DelayVector(entries=entries, source_array=array.id,
                        num_windows=num_windows)

@@ -101,3 +101,37 @@ def upsampled_correlation(bins, origin_length, upsample_factor, max_lag_steps):
         total = np.sum(two_sided[ks] * np.exp(1j * phase))
         values.append(upsample_factor * total.real / n_up)
     return np.array(values)
+
+
+def quadratic_peak_offset(values, peak, circular=False):
+    """Subsample offset of a discrete peak from ``np.polyfit``, one window at
+    a time: a least-squares parabola through the six samples at
+    peak-2 .. peak+3 (taken modulo the length when ``circular``), or, near a
+    boundary, through the 5 or 3 samples centred on the peak.
+
+    Returns (offset_in_steps clamped to [-1, 1], value_at_vertex, concave);
+    a non-concave fit, or a peak at the boundary, gives
+    (0.0, values[peak], False).
+    """
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    if circular:
+        positions = np.arange(peak - 2, peak + 4)
+        window = values[positions % n]
+    else:
+        if peak - 2 >= 0 and peak + 3 < n:
+            positions = np.arange(peak - 2, peak + 4)
+        else:
+            k = min(peak, n - 1 - peak, 2)
+            if k < 1:
+                return 0.0, float(values[peak]), False
+            positions = np.arange(peak - k, peak + k + 1)
+        window = values[positions]
+    t = positions - positions.mean()
+    a, b, c = np.polyfit(t, window, 2)
+    if a >= 0 or not np.isfinite(a):
+        return 0.0, float(values[peak]), False
+    vertex_t = -b / (2.0 * a)
+    offset = float(np.clip(vertex_t + (positions.mean() - peak), -1.0, 1.0))
+    vertex_value = float(c - b * b / (4.0 * a))
+    return offset, vertex_value, True

@@ -193,13 +193,21 @@ def test_simulate_wrong_entry_type_exit_2(tmp_path, capsys, extra, key):
     ({"arrays": [{"id": "A1", "center_m": [0.0, 0.0], "orientation_rad": "x"}]},
      "orientation_rad"),
     ({"duration_s": None}, "duration_s"),
+    ({"seed": None}, "seed"),
+    ({"seed": 2.5}, "seed"),
+    ({"snr_db": []}, "snr_db"),
 ], ids=["echo-delay-string", "echo-delay-null", "orientation-string",
-        "duration-null"])
+        "duration-null", "seed-null", "seed-fraction", "snr-list"])
 def test_simulate_non_numeric_value_exit_2(tmp_path, capsys, extra, key):
     config = scene_config(tmp_path, **extra)
     assert cli.main(["simulate", str(config), "--out-dir",
                      str(tmp_path / "out")]) == cli.EXIT_USAGE
     assert key in capsys.readouterr().err
+
+
+def test_scene_null_snr_means_noiseless(tmp_path):
+    config = json.loads(scene_config(tmp_path, snr_db=None).read_text())
+    assert hio.parse_scene(config).snr_db == math.inf
 
 
 @pytest.mark.parametrize("command", ["aoa", "localize", "eval"])

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from hexloc import dsp
-from hexloc.dsp import (CorrelationFunction, RealSignal, Spectrum, band_limit,
-                        bandpass, correlate, correlate_many, cross_power,
-                        inverse_real_spectrum, phat_weight, real_spectrum)
+from hexloc.dsp import (CorrelationFunction, MultichannelRecording, RealSignal,
+                        Spectrum, band_limit, bandpass, correlate,
+                        correlate_many, cross_power, inverse_real_spectrum,
+                        phat_weight, real_spectrum)
 
 import oracles
 
@@ -276,7 +277,13 @@ def test_windowed_correlate_matches_full(up, band):
 def test_correlate_many_matches_singles():
     phis = [whitened_pair_spectrum(white(3000, seed=s), white(3000, seed=s + 50),
                                    (300.0, 3500.0)) for s in range(4)]
-    batch = correlate_many(phis, 8, max_lag_steps=30)
+    n = dsp.correlation_fft_length(3000)
+    x1, x2 = (real_spectrum(MultichannelRecording(
+        np.stack([white(3000, seed=s + k) for s in range(4)]), FS), n)
+        for k in (0, 50))
+    stacked = phat_weight(band_limit(cross_power(x1, x2), 300.0, 3500.0))
+    batch = correlate_many(stacked, 8, max_lag_steps=30)
+    assert len(batch) == len(phis)
     for phi, got in zip(phis, batch):
         single = correlate(phi, 8, max_lag_steps=30)
         np.testing.assert_allclose(got.values, single.values, atol=1e-12)
@@ -294,8 +301,11 @@ def test_windowed_correlate_rejects_excessive_window():
 def test_band_limit_zeroes_outside():
     spec = real_spectrum(RealSignal(white(1024, seed=13), FS))
     gated = band_limit(spec, 300.0, 3500.0)
-    freqs = gated.frequencies
+    # the band's bins start at first_bin; every other bin is zero
+    full = np.zeros_like(spec.bins)
+    full[gated.first_bin:gated.first_bin + gated.bins.size] = gated.bins
+    freqs = spec.frequencies
     outside = (freqs < 300.0) | (freqs > 3500.0)
-    assert not np.any(gated.bins[outside])
+    assert not np.any(full[outside])
     inside = ~outside
-    np.testing.assert_allclose(gated.bins[inside], spec.bins[inside])
+    np.testing.assert_allclose(full[inside], spec.bins[inside])

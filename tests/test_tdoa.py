@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from hexloc import dsp, geometry, sim
+from hexloc import dsp, geometry, sim, tdoa
 from hexloc.dsp import CorrelationFunction, MultichannelRecording, RealSignal
 from hexloc.errors import NoSignalError
 from hexloc.geometry import PropagationModel, build_hex_array, mic_pairs
@@ -90,6 +91,58 @@ def test_refine_rejects_out_of_range_index():
         refine_peak(corr, 9)
 
 
+@st.composite
+def peak_rows(draw):
+    """Rows of random scores at a drawn scale, one peak index per row: at
+    either boundary or anywhere. A circular row has at least the six samples
+    the fit spans, so its window does not wrap onto itself."""
+    circular = draw(st.booleans())
+    n = draw(st.integers(6 if circular else 1, 40))
+    rows = draw(st.integers(1, 4))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    values = scale * np.random.default_rng(seed).standard_normal((rows, n))
+    index = st.sampled_from([0, 1, 2, n - 3, n - 2, n - 1]) | st.integers(0, n - 1)
+    peaks = [min(max(draw(index), 0), n - 1) for _ in range(rows)]
+    return values, np.array(peaks), circular
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=peak_rows())
+# the circular window wraps at both ends; a boundary peak takes the 3- and
+# 5-point fits or none
+@example(case=(np.random.default_rng(1).standard_normal((2, 12)),
+               np.array([0, 11]), True))
+@example(case=(np.random.default_rng(2).standard_normal((6, 12)),
+               np.array([0, 1, 2, 9, 10, 11]), False))
+def test_peak_fit_matches_polyfit(case):
+    values, peaks, circular = case
+    offsets, vertices, concave = tdoa.quadratic_peak_offset(values, peaks,
+                                                            circular)
+    assert offsets.shape == vertices.shape == concave.shape == peaks.shape
+    for row, peak, offset, vertex, ok in zip(values, peaks, offsets, vertices,
+                                             concave):
+        want_offset, want_vertex, want_ok = oracles.quadratic_peak_offset(
+            row, int(peak), circular)
+        assert ok == want_ok
+        if not ok:
+            assert (offset, vertex) == (0.0, row[peak])
+            continue
+        # offsets are in grid steps, clamped to [-1, 1]
+        assert abs(offset - want_offset) <= 1e-12
+        if abs(want_offset) < 1.0:
+            # an interpolated vertex, relative to the window's scale
+            assert abs(vertex - want_vertex) \
+                <= 1e-12 * max(abs(want_vertex), np.abs(row).max())
+        else:
+            # a vertex past the clamp is extrapolated: any least-squares
+            # solver rounds it in proportion to 1 / curvature
+            assert vertex == pytest.approx(want_vertex, rel=1e-9)
+        one = tdoa.quadratic_peak_offset(row, int(peak), circular)
+        assert all(isinstance(v, float) for v in one[:2])
+        assert one == (offset, vertex, ok)
+
+
 # --- estimate_pair_delay ---------------------------------------------------
 
 def test_integer_delay_matches_bruteforce_oracle():
@@ -139,8 +192,11 @@ def test_mismatched_inputs_rejected():
         estimate_pair_delay(x, RealSignal(white(2048), 16000.0), max_lag=1e-3)
 
 
-def test_antisymmetry_under_channel_swap():
-    x1, x2 = fractional_pair(8192, 2.7, seed=6)
+@settings(max_examples=25, deadline=None)
+@given(delay=st.floats(-8.0, 8.0), seed=st.integers(0, 2 ** 32 - 1))
+@example(delay=2.7, seed=6)
+def test_antisymmetry_under_channel_swap(delay, seed):
+    x1, x2 = fractional_pair(8192, delay, seed=seed)
     fwd = estimate_pair_delay(RealSignal(x1, FS), RealSignal(x2, FS),
                               max_lag=10.0 / FS, upsample_factor=8)
     rev = estimate_pair_delay(RealSignal(x2, FS), RealSignal(x1, FS),
@@ -245,6 +301,25 @@ def test_duplicate_entries_rejected():
         DelayVector(entries=(e, e), source_array="A")
 
 
+def test_windows_equal_single_window_slices():
+    array = build_hex_array((0.0, 0.0), 0.7, array_id="A")
+    rec, _ = plane_wave_recording(array, 205.0, duration=1.6, seed=16,
+                                  snr_db=20.0)
+    for band in (dsp.DEFAULT_BAND_HZ, None):
+        dv = expand_delay_features(rec, array, num_windows=3, model=MODEL,
+                                   band_hz=band)
+        n = rec.num_samples // 3
+        for w in range(3):
+            part = MultichannelRecording(rec.samples[:, w * n:(w + 1) * n], FS)
+            one = expand_delay_features(part, array, num_windows=1,
+                                        model=MODEL, band_hz=band)
+            got = [e for e in dv.entries if e.window_index == w]
+            assert [(e.pair, e.delay, e.peak_score, e.low_confidence)
+                    for e in got] \
+                == [(e.pair, e.delay, e.peak_score, e.low_confidence)
+                    for e in one.entries]
+
+
 def test_delay_within_baseline_bound_plus_slack():
     array = build_hex_array((0.0, 0.0), 0.9, array_id="A")
     rec, _ = plane_wave_recording(array, 290.0, seed=14, snr_db=20.0)
@@ -257,15 +332,18 @@ def test_delay_within_baseline_bound_plus_slack():
 
 # --- dead input ---------------------------------------------------------------
 
-@pytest.mark.parametrize("dead", ["zero-channel", "sub-bin-band"])
+@pytest.mark.parametrize("dead", ["zero-channel", "zero-channel-no-band",
+                                  "sub-bin-band"])
 def test_dead_input_raises_no_signal(dead):
     array = build_hex_array((0.0, 0.0), 0.3, array_id="A")
     rec, _ = plane_wave_recording(array, 60.0, seed=15, snr_db=20.0)
     band = dsp.DEFAULT_BAND_HZ
-    if dead == "zero-channel":
+    if dead.startswith("zero-channel"):
         samples = rec.samples.copy()
         samples[2] = 0.0
         rec = MultichannelRecording(samples, rec.sample_rate)
+        if dead == "zero-channel-no-band":
+            band = None
     else:  # narrower than one bin of the 2^16-point transform
         band = (1000.0, 1000.1)
     with pytest.raises(NoSignalError, match="no cross-power energy inside the band"):
