@@ -258,9 +258,11 @@ def phat_weight(g: Spectrum, epsilon: float = PHAT_EPSILON) -> Spectrum:
 def band_limit(spectrum: Spectrum, low_hz: float, high_hz: float) -> Spectrum:
     """Zero every bin outside [low_hz, high_hz], row by row.
 
-    The result is a view of the band's bins, starting at the band's first
-    bin; the bins outside it are zero by the :class:`Spectrum` layout, so
-    nothing is copied. A band narrower than one bin keeps no bins.
+    The result holds the band's bins as their own contiguous array,
+    starting at the band's first bin; the bins outside it are zero by the
+    :class:`Spectrum` layout. Copying the band, rather than viewing it,
+    lets the full spectrum be freed once it is gated. A band narrower than
+    one bin keeps no bins.
 
     Band-limited signals carry no delay information outside their band, only
     window-truncation leakage that PHAT would otherwise re-amplify to unit
@@ -272,7 +274,7 @@ def band_limit(spectrum: Spectrum, low_hz: float, high_hz: float) -> Spectrum:
     freqs = spectrum.frequencies
     lo = int(np.searchsorted(freqs, low_hz, side="left"))
     hi = int(np.searchsorted(freqs, high_hz, side="right"))
-    return _derived(spectrum.bins[..., lo:hi], spectrum.bin_spacing,
+    return _derived(spectrum.bins[..., lo:hi].copy(), spectrum.bin_spacing,
                     spectrum.origin_length, spectrum.first_bin + lo)
 
 
@@ -335,8 +337,7 @@ def correlate_many(phis: Spectrum, upsample_factor: int = 1,
     # even length's Nyquist bin (split in half across +-f_nyq when
     # upsampling makes it interior) count once
     weights = np.where((k == 0) | (2 * k == n), 1.0, 2.0)
-    # conjugated so a delayed second channel yields a positive-lag peak
-    values = _lag_window(np.conj(rows) * weights, phis.first_bin, max_lag_steps,
+    values = _lag_window(rows, weights, phis.first_bin, max_lag_steps,
                          n * upsample_factor)
     values *= upsample_factor
     lag_spacing = 1.0 / (phis.bin_spacing * n * upsample_factor)
@@ -345,18 +346,21 @@ def correlate_many(phis: Spectrum, upsample_factor: int = 1,
             for v in values]
 
 
-def _lag_window(coeffs: np.ndarray, first_bin: int, max_lag_steps: int,
-                n_up: int) -> np.ndarray:
-    """``Re sum_k coeffs[:, k - first_bin] exp(2 pi i k l / n_up) / n_up``
-    over the bins k from ``first_bin`` on, for every lag l in
-    [-max_lag_steps, max_lag_steps], row by row, lag 0 in the middle.
+def _lag_window(rows: np.ndarray, weights: np.ndarray, first_bin: int,
+                max_lag_steps: int, n_up: int) -> np.ndarray:
+    """``Re sum_k weights[k'] conj(rows[:, k']) exp(2 pi i k l / n_up) / n_up``
+    with k' = k - first_bin, over the bins k from ``first_bin`` on, for
+    every lag l in [-max_lag_steps, max_lag_steps], row by row, lag 0 in
+    the middle. The rows are conjugated so a delayed second channel yields
+    a positive-lag peak.
 
     Chirp-z transform (Rabiner, Schafer & Rader 1969): with
     k l = (k^2 + l^2 - (l - k)^2) / 2 the sum is one circular convolution
     with the chirp w_m = exp(i pi m^2 / n_up), whose phase is taken from
-    m^2 mod 2 n_up in integers so it stays exact for any m.
+    m^2 mod 2 n_up in integers so it stays exact for any m. The
+    convolution runs in one zero-padded buffer, transformed in place.
     """
-    num_bins = coeffs.shape[-1]
+    num_bins = rows.shape[-1]
     last = first_bin + num_bins
     span = num_bins + 2 * max_lag_steps
     m = np.arange(last + max_lag_steps, dtype=np.int64)
@@ -366,7 +370,15 @@ def _lag_window(coeffs: np.ndarray, first_bin: int, max_lag_steps: int,
     kernel = np.conj(chirp[np.abs(np.arange(1 - last - max_lag_steps,
                                             max_lag_steps - first_bin + 1))])
     size = next_fast_len(span)
-    conv = ifft(fft(coeffs * chirp[first_bin:last], size) * fft(kernel, size))
+    buf = np.zeros((rows.shape[0], size), dtype=complex)
+    coeffs = np.conj(rows, out=buf[:, :num_bins])
+    # the weights are 1 or 2, so scaling by them in place is exact, and
+    # x *= y keeps the operand order of x * y
+    coeffs *= weights
+    coeffs *= chirp[first_bin:last]
+    conv = fft(buf, overwrite_x=True)
+    conv *= fft(kernel, size)
+    conv = ifft(conv, overwrite_x=True)
     lags = np.abs(np.arange(-max_lag_steps, max_lag_steps + 1))
     values = (conv[:, num_bins - 1: span] * chirp[lags]).real
     return values / n_up

@@ -19,6 +19,9 @@ PARALLEL_SIN_TOL = 1e-8
 RANSAC_PAIR_SIN_TOL = 1e-3
 RANSAC_THRESHOLD_M = 0.5
 RANSAC_ITERATIONS = 100
+# residual sums closer than this are rounding apart: a candidate built from
+# two lines has residual sum 0 up to rounding
+RANSAC_TIE_M = 1e-9
 IRLS_RESIDUAL_FLOOR_M = 1e-3
 IRLS_MAX_ITER = 50
 IRLS_TOL_M = 1e-6
@@ -153,7 +156,8 @@ def solve_ransac(lines: list[BearingLine],
     """Consensus search over random line pairs, refit on the inlier set.
 
     Ties between equal-consensus candidates break toward the lowest total
-    inlier residual. Deterministic for a fixed seed.
+    inlier residual; totals within ``RANSAC_TIE_M`` count as equal and keep
+    the earlier candidate. Deterministic for a fixed seed.
     """
     lines = _check_lines(lines)
     if not threshold > 0:
@@ -165,7 +169,7 @@ def solve_ransac(lines: list[BearingLine],
                        iterations=0, condition_flag=base.condition_flag)
 
     rng = np.random.default_rng(seed)
-    best = None  # (count, -total_residual, inlier_mask, candidate)
+    best = None  # (count, total_residual, inlier_mask, candidate)
     for _ in range(iterations):
         i, j = rng.choice(len(lines), size=2, replace=False)
         candidate = _intersect_pair(lines[i], lines[j])
@@ -173,13 +177,14 @@ def solve_ransac(lines: list[BearingLine],
             continue
         dists = perpendicular_distances(lines, candidate)
         mask = dists <= threshold
-        key = (int(mask.sum()), -float(dists[mask].sum()))
-        if best is None or key > best[0]:
-            best = (key, mask, candidate)
+        count, total = int(mask.sum()), float(dists[mask].sum())
+        if best is None or count > best[0] \
+                or (count == best[0] and total < best[1] - RANSAC_TIE_M):
+            best = (count, total, mask, candidate)
     if best is None:
         raise UnlocalizableError("no bearing pair produced an intersection")
 
-    _, mask, candidate = best
+    _, _, mask, candidate = best
     inlier_lines = [ln for ln, m in zip(lines, mask) if m]
     if len(inlier_lines) >= 2 and not _all_parallel(inlier_lines, PARALLEL_SIN_TOL):
         weights = np.array([ln.weight for ln in inlier_lines])

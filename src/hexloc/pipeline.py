@@ -6,7 +6,10 @@ from __future__ import annotations
 import csv
 import io as _io
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -119,19 +122,35 @@ def solve_bearings(lines: list[BearingLine],
     return localize.solve_mle(lines)
 
 
+def _map_arrays(fn, recs, arrays) -> list:
+    """``[fn(rec, array) for rec, array in zip(recs, arrays)]``, one task per
+    array on up to one thread per core.
+
+    Each array's estimate is independent of the others, and its work is
+    mostly numpy and FFT code that releases the interpreter lock. Results,
+    and the first error, come out in array order, as from the serial loop.
+    """
+    workers = min(len(arrays), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, recs, arrays))
+
+
 def localize_recordings(recs: list[MultichannelRecording],
                         arrays: list[MicArray],
                         method: AoaMethod | str = AoaMethod.GCC_PLUS,
                         config: PipelineConfig | None = None,
                         model: PropagationModel | None = None
                         ) -> tuple[LocalizationResult, list[AoaEstimate]]:
-    """Per-array AoA estimation followed by bearing fusion."""
+    """Per-array AoA estimation, the arrays concurrently, followed by
+    bearing fusion."""
     if config is None:
         config = PipelineConfig()
     if len(recs) != len(arrays) or len(arrays) < 2:
         raise ValueError("need matching recordings for at least two arrays")
-    estimates = [estimate_recording_aoa(rec, array, method, config, model)[1]
-                 for rec, array in zip(recs, arrays)]
+    estimates = _map_arrays(
+        lambda rec, array: estimate_recording_aoa(rec, array, method, config,
+                                                  model)[1],
+        recs, arrays)
     lines = bearings_from_estimates(arrays, estimates, config)
     return solve_bearings(lines, config), estimates
 
@@ -170,7 +189,11 @@ def run_eval(n_trials: int, bounds: tuple[float, float, float, float],
              snr_db: float = 20.0, echoes: tuple[Echo, ...] = (),
              methods: tuple[AoaMethod, ...] = ALL_METHODS,
              solvers: tuple[str, ...] = ALL_SOLVERS) -> EvalRows:
-    """Sample scenarios, run every method and solver, record per-trial errors."""
+    """Sample scenarios, run every method and solver, record per-trial errors.
+
+    Within a trial the arrays are estimated concurrently, each band-passed
+    once and shared by every method.
+    """
     if config is None:
         config = PipelineConfig()
     if arrays is None:
@@ -180,15 +203,15 @@ def run_eval(n_trials: int, bounds: tuple[float, float, float, float],
     rows = EvalRows()
     for t, scene in enumerate(scenes):
         recordings, truth = sim.synthesize(scene)
-        filtered = [dsp.bandpass_recording(rec, *config.band_hz)
-                    for rec in recordings]
-        for method in methods:
+        per_array = _map_arrays(
+            partial(_estimate_methods, methods=methods, config=config,
+                    model=scene.model),
+            recordings, scene.arrays)
+        for m, method in enumerate(methods):
             usable = []
-            for rec, array in zip(filtered, scene.arrays):
-                try:
-                    _, est = _estimate_filtered(rec, array, method, config,
-                                                scene.model)
-                except (AmbiguousEstimateError, NoSignalError):
+            for array, estimates in zip(scene.arrays, per_array):
+                est = estimates[m]
+                if est is None:
                     err, status = math.nan, "error"
                 else:
                     err, status = circular_error_deg(
@@ -204,6 +227,22 @@ def run_eval(n_trials: int, bounds: tuple[float, float, float, float],
                                  "solver": solver, "error_m": err,
                                  "status": "error" if math.isnan(err) else "ok"})
     return rows
+
+
+def _estimate_methods(rec: MultichannelRecording, array: MicArray,
+                      methods: tuple[AoaMethod, ...], config: PipelineConfig,
+                      model: PropagationModel) -> list[AoaEstimate | None]:
+    """Band-pass one recording once, then run every method on it; None
+    where the estimator gives up."""
+    filtered = dsp.bandpass_recording(rec, *config.band_hz)
+    estimates = []
+    for method in methods:
+        try:
+            estimates.append(_estimate_filtered(filtered, array, method,
+                                                config, model)[1])
+        except (AmbiguousEstimateError, NoSignalError):
+            estimates.append(None)
+    return estimates
 
 
 def _localization_error(usable: list[tuple[MicArray, AoaEstimate]],

@@ -1,13 +1,13 @@
 """Pairwise time-difference-of-arrival estimation with subsample refinement.
 
 All time windows of all channels are transformed in one pass, as the rows of
-a (channels x windows, window_len) matrix, and band-gated by taking the
-band's bins as a view. The estimator chain cross_power -> phat_weight ->
-correlate_many then runs once over every pair of every window, followed by
-one integer-grid argmax per row, restricted to the pair's feasible lags, and
-one vectorised least-squares quadratic fit over a 6-point window around each
-peak whose vertex (-b / 2a) supplies the subsample correction. A single pair
-takes this path as a one-row batch.
+a (channels x windows, window_len) matrix, and band-gated by copying out the
+band's bins, after which the full spectra are freed. The estimator chain
+cross_power -> phat_weight -> correlate_many then runs once over every pair
+of every window, followed by one integer-grid argmax per row, restricted
+to the pair's feasible lags, and one vectorised least-squares quadratic fit
+over a 6-point window around each peak whose vertex (-b / 2a) supplies the
+subsample correction. A single pair takes this path as a one-row batch.
 """
 
 from __future__ import annotations
@@ -142,6 +142,7 @@ def _pair_delays(spectra: Spectrum, first: np.ndarray, second: np.ndarray,
     by all of them, an argmax within pair p's own max lag ``max_lags[p]``
     and one vectorised peak fit."""
     if band_hz is not None:  # gating a channel gates its every product
+        # rebinding drops the last reference to the full spectra
         spectra = dsp.band_limit(spectra, *band_hz)
     g = dsp.cross_power(spectra.rows(first), spectra.rows(second))
     if not np.all(np.any(g.bins, axis=-1)):
@@ -188,11 +189,11 @@ def estimate_pair_delay(x1: RealSignal, x2: RealSignal, max_lag: float,
     if not max_lag > 0:
         raise ValueError(f"max_lag must be positive, got {max_lag}")
     nfft = dsp.correlation_fft_length(x1.samples.size)
-    spectra = dsp.real_spectrum(MultichannelRecording(
-        np.stack([x1.samples, x2.samples]), x1.sample_rate), nfft)
     [[delay]], [[score]], [[concave]] = _pair_delays(
-        spectra, np.array([[0]]), np.array([[1]]), [max_lag], upsample_factor,
-        refine, band_hz)
+        dsp.real_spectrum(MultichannelRecording(
+            np.stack([x1.samples, x2.samples]), x1.sample_rate), nfft),
+        np.array([[0]]), np.array([[1]]), [max_lag], upsample_factor, refine,
+        band_hz)
     return PairDelay(pair=pair, delay=float(delay), peak_score=float(score),
                      window_index=window_index, low_confidence=not concave)
 
@@ -234,12 +235,13 @@ def expand_delay_features(rec: MultichannelRecording, array: MicArray,
     nfft = dsp.correlation_fft_length(window_len)
     # row c * num_windows + w holds window w of channel c
     rows = rec.samples[:, :num_windows * window_len].reshape(-1, window_len)
-    spectra = dsp.real_spectrum(MultichannelRecording(rows, rec.sample_rate),
-                                nfft)
     first, second = np.array(pairs).T
     windows = np.arange(num_windows)[:, None]
+    # no reference to the full spectra is kept here, so the band gate frees
+    # them
     delays, scores, concave = _pair_delays(
-        spectra, first * num_windows + windows, second * num_windows + windows,
+        dsp.real_spectrum(MultichannelRecording(rows, rec.sample_rate), nfft),
+        first * num_windows + windows, second * num_windows + windows,
         max_lags, upsample_factor, refine, band_hz)
     entries = tuple(
         PairDelay(pair=pair, delay=d, peak_score=s, window_index=w,

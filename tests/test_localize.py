@@ -133,6 +133,27 @@ def test_ransac_deterministic_under_seed():
     assert a.condition_flag == b.condition_flag
 
 
+def test_ransac_tie_break_ignores_rounding():
+    # each pair of these three lines meets far from the third, so every
+    # candidate has two inliers and a residual sum of 0 up to rounding
+    anchors = [(0.0, 0.0), (6.0, 0.0), (3.0, 5.0)]
+    azimuths = [30.0, 120.0, -100.0]
+    rng = np.random.default_rng(21)
+    outcomes = set()
+    positions = []
+    for _ in range(200):
+        noise = rng.uniform(-1e-12, 1e-12, size=3)
+        lines = [BearingLine.from_azimuth(a, math.radians(az) + n,
+                                          array_id=f"L{k}")
+                 for k, (a, az, n) in enumerate(zip(anchors, azimuths, noise))]
+        result = solve_ransac(lines, threshold=0.5, iterations=100, seed=0)
+        outcomes.add(result.inliers)
+        positions.append(result.position)
+    assert len(outcomes) == 1 and len(next(iter(outcomes))) == 2
+    np.testing.assert_allclose(positions, positions[:1] * len(positions),
+                               rtol=0, atol=1e-9)
+
+
 def test_ransac_rejects_bad_threshold():
     lines = lines_to_target([(0.0, 0.0), (8.0, 0.0), (1.0, 4.0)], (2.0, 3.0))
     with pytest.raises(ValueError):

@@ -1,3 +1,7 @@
+import math
+import os
+import sys
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -5,6 +9,9 @@ import pytest
 
 from hexloc import dsp, pipeline, sim
 from hexloc.aoa import AoaMethod, circular_error_deg
+from hexloc.errors import (AmbiguousEstimateError, NoSignalError,
+                           UnlocalizableError)
+from hexloc.geometry import build_hex_array
 from hexloc.pipeline import (EvalSummary, PipelineConfig, csv_to_rows,
                              localize_recordings, rows_to_csv, run_eval,
                              summaries_to_csv, summarize)
@@ -177,3 +184,124 @@ def test_eval_config_error_raises():
     with pytest.raises(ValueError, match="grid_step_deg"):
         run_eval(1, (0.5, 0.5, 5.5, 4.5), PipelineConfig(grid_step_deg=10.0),
                  methods=(AoaMethod.GCC_PLUS,), solvers=("mle",))
+
+
+# --- concurrency: the serial per-array loops are the reference -------------
+
+def serial_localize(recs, arrays, method, config, model):
+    """localize_recordings as one array after another."""
+    estimates = [pipeline.estimate_recording_aoa(rec, array, method, config,
+                                                 model)[1]
+                 for rec, array in zip(recs, arrays)]
+    lines = pipeline.bearings_from_estimates(arrays, estimates, config)
+    return pipeline.solve_bearings(lines, config), estimates
+
+
+def serial_eval(n_trials, bounds, config, snr_db, echoes, solvers):
+    """run_eval's rows from a serial loop: method by method, array by array."""
+    scenes = sim.sample_scenarios(n_trials, bounds, seed=config.seed,
+                                  arrays=sim.default_array_layout(),
+                                  snr_db=snr_db, echoes=echoes)
+    rows = pipeline.EvalRows()
+    for t, scene in enumerate(scenes):
+        recordings, truth = sim.synthesize(scene)
+        for method in pipeline.ALL_METHODS:
+            usable = []
+            for rec, array in zip(recordings, scene.arrays):
+                try:
+                    _, est = pipeline.estimate_recording_aoa(
+                        rec, array, method, config, scene.model)
+                except (AmbiguousEstimateError, NoSignalError):
+                    err, status = math.nan, "error"
+                else:
+                    err, status = circular_error_deg(
+                        est.azimuth_deg, truth.azimuth_deg[array.id]), "ok"
+                    usable.append((array, est))
+                rows.aoa.append({"trial": t, "method": method.value,
+                                 "array_id": array.id, "error_deg": err,
+                                 "status": status})
+            for solver in solvers:
+                err = math.nan
+                if len(usable) >= 2:
+                    cfg = replace(config, solver=solver)
+                    lines = pipeline.bearings_from_estimates(
+                        *zip(*usable), cfg)
+                    try:
+                        result = pipeline.solve_bearings(lines, cfg)
+                    except UnlocalizableError:
+                        pass
+                    else:
+                        err = float(np.linalg.norm(result.position
+                                                   - truth.source))
+                rows.loc.append({"trial": t, "method": method.value,
+                                 "solver": solver, "error_m": err,
+                                 "status": "error" if math.isnan(err) else "ok"})
+    return rows
+
+
+def ring_scene(count):
+    """``count`` arrays on a 4 m circle around a source, 0.25 s captures."""
+    angles = 2.0 * np.pi * np.arange(count) / count
+    arrays = tuple(build_hex_array((2.5 + 4.0 * np.cos(a), 2.0 + 4.0 * np.sin(a)),
+                                   orientation=0.7 * k, array_id=f"R{k}")
+                   for k, a in enumerate(angles))
+    return sim.Scene(arrays=arrays, source=(2.6, 2.1), snr_db=20.0, seed=17,
+                     duration=0.25)
+
+
+def test_concurrent_localize_equals_serial_loop():
+    scene = ring_scene((os.cpu_count() or 1) + 2)  # more arrays than cores
+    recs, _ = sim.synthesize(scene)
+    arrays = list(scene.arrays)
+    cfg = PipelineConfig()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for method in pipeline.ALL_METHODS:
+            want, want_estimates = serial_localize(recs, arrays, method, cfg,
+                                                   scene.model)
+            got, estimates = localize_recordings(recs, arrays, method, cfg,
+                                                 scene.model)
+            assert estimates == want_estimates
+            np.testing.assert_array_equal(got.position, want.position)
+            assert (got.residuals, got.weights, got.iterations) \
+                == (want.residuals, want.weights, want.iterations)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_concurrent_localize_raises_first_array_error(monkeypatch):
+    arrays = list(sim.default_array_layout())
+    scene = sim.Scene(arrays=arrays, source=(2.5, 2.0), snr_db=20.0, seed=4,
+                      duration=0.25)
+    recs, _ = sim.synthesize(scene)
+    original = pipeline.estimate_recording_aoa
+
+    def giving_up(rec, array, method, config, model):
+        if array.id == "A2":
+            time.sleep(0.2)  # array 1 gives up after array 2 has
+            raise NoSignalError("A2 gave up")
+        if array.id == "A3":
+            raise AmbiguousEstimateError("A3 gave up")
+        return original(rec, array, method, config, model)
+
+    monkeypatch.setattr(pipeline, "estimate_recording_aoa", giving_up)
+    for localize in (serial_localize, localize_recordings):
+        with pytest.raises(NoSignalError, match="A2 gave up"):
+            localize(recs, arrays, AoaMethod.GCC_PLUS, PipelineConfig(),
+                     scene.model)
+
+
+def test_concurrent_eval_rows_equal_serial_loop():
+    cfg = PipelineConfig(seed=8)
+    kw = dict(snr_db=20.0, echoes=(sim.Echo(0.004, 0.5, 85.0),
+                                   sim.Echo(0.009, 0.5, -130.0)),
+              solvers=pipeline.ALL_SOLVERS)
+    bounds = (0.5, 0.5, 5.5, 4.5)
+    got = run_eval(2, bounds, cfg, **kw)
+    want = serial_eval(2, bounds, cfg, **kw)
+    # repr of every float: equal bit for bit, NaN included
+    assert rows_to_csv(got.aoa, pipeline.AOA_TRIAL_FIELDS) \
+        == rows_to_csv(want.aoa, pipeline.AOA_TRIAL_FIELDS)
+    assert rows_to_csv(got.loc, pipeline.LOC_TRIAL_FIELDS) \
+        == rows_to_csv(want.loc, pipeline.LOC_TRIAL_FIELDS)

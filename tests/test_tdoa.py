@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,3 +349,25 @@ def test_dead_input_raises_no_signal(dead):
         band = (1000.0, 1000.1)
     with pytest.raises(NoSignalError, match="no cross-power energy inside the band"):
         expand_delay_features(rec, array, model=MODEL, band_hz=band)
+
+
+def test_expand_delay_features_peak_memory():
+    # a 1.06 s six-channel capture at 44.1 kHz: the full spectra of its 12
+    # window rows (12 x 32769 bins, 6.3 MB) are freed once band-gated, and
+    # the lag evaluation works in one buffer
+    array = build_hex_array((0.0, 0.0), 0.0, array_id="A")
+    scene = sim.Scene(arrays=(array,), source=(2.0, 1.0), snr_db=20.0,
+                      seed=3, duration=1.06, model=MODEL)
+    [rec], _ = sim.synthesize(scene)
+    assert rec.samples.shape == (6, 46746) and rec.sample_rate == 44100.0
+    band = dsp.DEFAULT_BAND_HZ
+    rec = dsp.bandpass_recording(rec, *band)
+    expand_delay_features(rec, array, model=MODEL, band_hz=band)  # warm-up
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        expand_delay_features(rec, array, model=MODEL, band_hz=band)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6, f"peak {peak / 1e6:.1f} MB"
