@@ -78,6 +78,11 @@ def cmd_simulate(args) -> int:
         return _fail(EXIT_IO, f"cannot read {args.scene_config}")
     except SceneConfigError as exc:
         return _fail(EXIT_USAGE, str(exc))
+    try:
+        hio.wav_sample_rate(scene.model.sample_rate)
+    except ValueError as exc:
+        return _fail(EXIT_USAGE, f"key 'sample_rate_hz' in "
+                                 f"{args.scene_config}: {exc}")
 
     out_dir = _default_out_dir(args.out_dir)
     try:

@@ -24,9 +24,18 @@ _PCM_SCALE = {
 }
 
 
+def wav_sample_rate(rate: float) -> int:
+    """The sample rate as a WAV header stores it, a whole number of Hz; a
+    fractional rate raises ValueError rather than being truncated."""
+    if not float(rate).is_integer():
+        raise ValueError(
+            f"a WAV file stores a whole number of Hz, got {rate!r} Hz")
+    return int(rate)
+
+
 def write_wav(path, rec: MultichannelRecording) -> None:
     """Write a recording as 32-bit float WAV, channels ordered by element."""
-    wavfile.write(str(path), int(rec.sample_rate),
+    wavfile.write(str(path), wav_sample_rate(rec.sample_rate),
                   np.ascontiguousarray(rec.samples.T, dtype=np.float32))
 
 

@@ -135,3 +135,10 @@ def quadratic_peak_offset(values, peak, circular=False):
     offset = float(np.clip(vertex_t + (positions.mean() - peak), -1.0, 1.0))
     vertex_value = float(c - b * b / (4.0 * a))
     return offset, vertex_value, True
+
+
+def delay_ramp(shift, bin_hz, num_bins):
+    """Phase ramp of fractional delays ``shift`` (s) at bins ``k * bin_hz``,
+    ``exp(-2 pi i shift k bin_hz)``, one exponential per channel and bin."""
+    freqs = np.arange(num_bins) * bin_hz
+    return np.exp(-2j * np.pi * np.outer(shift, freqs))

@@ -1,9 +1,12 @@
 import hashlib
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hexloc import cli, io as hio, sim
 from hexloc.geometry import build_hex_array
@@ -170,6 +173,40 @@ def test_simulate_zero_speed_of_sound_exit_2(tmp_path, capsys):
     assert cli.main(["simulate", str(config), "--out-dir",
                      str(tmp_path / "out")]) == cli.EXIT_USAGE
     assert "speed_of_sound_m_s" in capsys.readouterr().err
+
+
+def test_simulate_fractional_sample_rate_exit_2(tmp_path, capsys):
+    # a WAV header holds whole Hz: 16000.5 would be written as 16000 and the
+    # manifest's 16000.5 would then fail `hexloc localize` on its own output
+    config = scene_config(tmp_path, sample_rate_hz=16000.5)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", str(config), "--out-dir",
+                     str(out)]) == cli.EXIT_USAGE
+    assert "sample_rate_hz" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_write_wav_rejects_fractional_rate(tmp_path):
+    rec = MultichannelRecording(np.zeros((2, 8)), 16000.5)
+    with pytest.raises(ValueError, match="16000.5"):
+        hio.write_wav(tmp_path / "x.wav", rec)
+    assert not (tmp_path / "x.wav").exists()
+
+
+@settings(max_examples=50, deadline=None)
+@given(channels=st.integers(1, 6), length=st.integers(2, 64),
+       rate=st.integers(1, 192000), seed=st.integers(0, 2 ** 32 - 1))
+def test_wav_round_trip(channels, length, rate, seed):
+    samples = np.random.default_rng(seed).uniform(-2.0, 2.0,
+                                                  (channels, length))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.wav"
+        hio.write_wav(path, MultichannelRecording(samples, float(rate)))
+        back = hio.read_wav(path)
+    assert back.samples.shape == (channels, length)
+    assert back.sample_rate == rate
+    np.testing.assert_array_equal(
+        back.samples, samples.astype(np.float32).astype(np.float64))
 
 
 @pytest.mark.parametrize("extra, key", [

@@ -270,6 +270,20 @@ def test_concurrent_localize_equals_serial_loop():
         sys.setswitchinterval(interval)
 
 
+def test_concurrent_localize_recordings_of_different_lengths():
+    arrays = list(sim.default_array_layout())[:2]
+    recs = [sim.synthesize(sim.Scene(arrays=(array,), source=(2.5, 2.0),
+                                     snr_db=20.0, seed=6 + k,
+                                     duration=duration))[0][0]
+            for k, (array, duration) in enumerate(zip(arrays, (1.06, 1.5)))]
+    assert [rec.num_samples for rec in recs] == [46746, 66150]
+    cfg = PipelineConfig()
+    for method in pipeline.ALL_METHODS:
+        _, estimates = localize_recordings(recs, arrays, method, cfg)
+        assert estimates == [pipeline.estimate_recording_aoa(
+            rec, array, method, cfg)[1] for rec, array in zip(recs, arrays)]
+
+
 def test_concurrent_localize_raises_first_array_error(monkeypatch):
     arrays = list(sim.default_array_layout())
     scene = sim.Scene(arrays=arrays, source=(2.5, 2.0), snr_db=20.0, seed=4,

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hexloc import dsp, geometry, sim, tdoa
 from hexloc.geometry import PropagationModel, build_hex_array
@@ -56,6 +57,33 @@ def test_zero_gain_echoes_bit_identical():
     with_zero = synthesize(one_array_scene(
         echoes=(Echo(0.01, 0.0, 45.0), Echo(0.02, 0.0, -60.0))))[0][0]
     assert clean.samples.tobytes() == with_zero.samples.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(shift=st.lists(st.floats(0.0, 0.2), min_size=1, max_size=6),
+       num_bins=st.sampled_from([sim._RAMP_BLOCK - 1, sim._RAMP_BLOCK,
+                                 sim._RAMP_BLOCK + 1, 32769]),
+       sample_rate=st.sampled_from([16000.0, 44100.0, 48000.0]))
+def test_factored_ramp_matches_direct(shift, num_bins, sample_rate):
+    bin_hz = sample_rate / (2 * (num_bins - 1))  # an rfft with num_bins bins
+    got = sim._delay_ramp(np.array(shift), bin_hz, num_bins)
+    want = oracles.delay_ramp(np.array(shift), bin_hz, num_bins)
+    assert got.shape == want.shape == (len(shift), num_bins)
+    assert np.max(np.abs(got - want)) <= 1e-11
+
+
+@pytest.mark.parametrize("echoes", [(), (Echo(0.004, 0.5, 40.0),
+                                         Echo(0.011, 0.3, -70.0))],
+                         ids=["clean", "two-echo"])
+def test_render_matches_direct_ramp(monkeypatch, echoes):
+    scene = Scene(arrays=sim.default_array_layout(), source=(2.2, 1.7),
+                  snr_db=20.0, echoes=echoes, seed=12, model=MODEL)
+    shipped = synthesize(scene)[0]
+    monkeypatch.setattr(sim, "_delay_ramp", oracles.delay_ramp)
+    direct = synthesize(scene)[0]
+    for got, want in zip(shipped, direct):
+        peak = np.max(np.abs(want.samples))
+        assert np.max(np.abs(got.samples - want.samples)) <= 1e-12 * peak
 
 
 def test_same_seed_bit_identical():
