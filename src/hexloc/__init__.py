@@ -11,10 +11,9 @@ arrays into a 2D position with least-squares, RANSAC, or IRLS solvers.
 from .aoa import (AoaEstimate, AoaMethod, AoaSpectrum, CovarianceStack,
                   baseline_aoa_gcc_phat, circular_error_deg, covariance_stack,
                   estimate_aoa_gcc, estimate_aoa_music)
-from .dsp import (CorrelationFunction, MultichannelRecording, RealSignal,
-                  Spectrum, bandpass, bandpass_recording, correlate,
-                  cross_power, inverse_real_spectrum, phat_weight,
-                  real_spectrum)
+from .dsp import (MultichannelRecording, RealSignal, Spectrum, bandpass,
+                  bandpass_recording, cross_power, inverse_real_spectrum,
+                  phat_weight, real_spectrum)
 from .errors import (AmbiguousEstimateError, NoSignalError, SceneConfigError,
                      UnlocalizableError)
 from .geometry import (MicArray, PropagationModel, azimuth_to,
@@ -28,6 +27,6 @@ from .pipeline import (EvalSummary, PipelineConfig, estimate_recording_aoa,
 from .sim import (Echo, GroundTruth, Scene, default_array_layout,
                   sample_scenarios, synthesize)
 from .tdoa import (DelayVector, PairDelay, estimate_pair_delay,
-                   expand_delay_features, refine_peak)
+                   expand_delay_features)
 
 __version__ = "0.1.0"

@@ -122,35 +122,6 @@ def _derived(bins: np.ndarray, bin_spacing: float, origin_length: int,
     return out
 
 
-@dataclass(frozen=True)
-class CorrelationFunction:
-    """Cross-correlation scores on a centered lag axis (lag 0 at the middle).
-
-    ``lag_spacing`` is seconds per index: 1 / (sample_rate * upsample_factor).
-    """
-
-    values: np.ndarray
-    lag_spacing: float
-    upsample_factor: int = 1
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 1 or values.size % 2 != 1:
-            raise ValueError("correlation values must be 1D with odd length")
-        if self.upsample_factor < 1:
-            raise ValueError("upsample_factor must be >= 1")
-
-    @property
-    def center(self) -> int:
-        return self.values.size // 2
-
-    @property
-    def lags(self) -> np.ndarray:
-        """Lag in seconds for each index."""
-        return (np.arange(self.values.size) - self.center) * self.lag_spacing
-
-
 def real_spectrum(signal: RealSignal | MultichannelRecording,
                   nfft: int | None = None) -> Spectrum:
     """Forward one-sided FFT of a real signal, optionally zero-padded.
@@ -284,38 +255,28 @@ def correlation_support_steps(origin_length: int, upsample_factor: int) -> int:
     return n_up // 2 - 1 if n_up % 2 == 0 else (n_up - 1) // 2
 
 
-def correlate(phi: Spectrum, upsample_factor: int = 1,
-              max_lag_steps: int | None = None) -> CorrelationFunction:
-    """Inverse-transform a (whitened) cross-power spectrum to a correlation
-    function on a centered lag axis, optionally upsampled.
+def correlate_many(phis: Spectrum, upsample_factor: int = 1,
+                   max_lag_steps: int | None = None) -> np.ndarray:
+    """Inverse-transform (whitened) cross-power spectra to correlation
+    functions on a centered lag axis, optionally upsampled, row by row.
 
-    The result is the inverse real FFT of the spectrum zero-extended to
+    Each row is the inverse real FFT of its spectrum zero-extended to
     ``upsample_factor * origin_length`` bins; frequency-domain zero-padding
     is ideal band-limited interpolation, so no extra smoothing filter is
     applied. For even origin lengths the original Nyquist bin is split in
     half across +-f_nyq when upsampling makes it interior. The lag axis
-    follows the module's sign convention (positive lag = channel 1 leads);
-    the full output length is ``upsample_factor * origin_length``, minus one
-    for even products (one extreme lag dropped to center lag 0 exactly).
+    follows the module's sign convention (positive lag = channel 1 leads),
+    with lag index spacing 1 / (sample_rate * upsample_factor) seconds.
 
-    ``max_lag_steps`` restricts the output to lags within that many indices
-    of zero; the values equal the corresponding slice of the full function,
-    and both come from the same chirp-z pass, whose cost grows with the
-    window and the spectrum's bins rather than the upsampled length.
-    This is the batch-of-one case of :func:`correlate_many`.
-    """
-    [corr] = correlate_many(phi, upsample_factor, max_lag_steps)
-    return corr
-
-
-def correlate_many(phis: Spectrum, upsample_factor: int = 1,
-                   max_lag_steps: int | None = None) -> list[CorrelationFunction]:
-    """:func:`correlate` for every row of a stacked spectrum, in row-major
-    order of its batch axes.
-
-    All rows go through one batched chirp-z transform over the lag window,
-    with its chirp spectrum computed once for the batch, which is what makes
-    all-pairs, all-windows delay expansion cheap.
+    Returns an array of shape ``phis.bins.shape[:-1] + (2 L + 1,)`` with lag
+    0 at index L. L defaults to the full support (see
+    :func:`correlation_support_steps`), making the length
+    ``upsample_factor * origin_length``, minus one for even products (one
+    extreme lag dropped to center lag 0 exactly). ``max_lag_steps`` sets a
+    smaller L; the values equal the corresponding slice of the full
+    function. All rows go through one batched chirp-z transform over the lag
+    window, whose cost grows with the window and the spectrum's bins rather
+    than the upsampled length.
     """
     if upsample_factor < 1:
         raise ValueError(f"upsample_factor must be >= 1, got {upsample_factor}")
@@ -340,10 +301,7 @@ def correlate_many(phis: Spectrum, upsample_factor: int = 1,
     values = _lag_window(rows, weights, phis.first_bin, max_lag_steps,
                          n * upsample_factor)
     values *= upsample_factor
-    lag_spacing = 1.0 / (phis.bin_spacing * n * upsample_factor)
-    return [CorrelationFunction(values=v, lag_spacing=lag_spacing,
-                                upsample_factor=upsample_factor)
-            for v in values]
+    return values.reshape(bins.shape[:-1] + values.shape[-1:])
 
 
 def _lag_window(rows: np.ndarray, weights: np.ndarray, first_bin: int,

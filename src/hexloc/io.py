@@ -218,10 +218,3 @@ def load_manifest(path) -> tuple[list[MicArray], list[Path], PropagationModel, d
             for k, a in enumerate(raw)]
     return arrays, wavs, _propagation_model(manifest, str(path)), manifest
 
-
-def load_ground_truth(manifest_path) -> dict | None:
-    path = Path(manifest_path).parent / GROUND_TRUTH_NAME
-    if not path.exists():
-        return None
-    with open(path) as fh:
-        return json.load(fh)

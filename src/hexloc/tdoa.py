@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp, geometry
-from .dsp import CorrelationFunction, MultichannelRecording, RealSignal, Spectrum
+from .dsp import MultichannelRecording, RealSignal, Spectrum
 from .errors import NoSignalError
 from .geometry import MicArray, PropagationModel
 
@@ -116,19 +116,6 @@ def quadratic_peak_offset(values: np.ndarray, peak: int | np.ndarray,
     return offset[()], vertex_value[()], concave[()]
 
 
-def refine_peak(corr: CorrelationFunction, peak_index: int) -> tuple[float, bool]:
-    """Refine a discrete correlation peak to a subsample lag in seconds.
-
-    Returns (lag_seconds, concave); a non-concave quadratic fit keeps the
-    integer-grid lag and reports False so callers can flag low confidence.
-    """
-    if not 0 <= peak_index < corr.values.size:
-        raise ValueError(f"peak_index {peak_index} out of range")
-    offset, _, ok = quadratic_peak_offset(corr.values, peak_index)
-    lag = (peak_index - corr.center + offset) * corr.lag_spacing
-    return float(lag), bool(ok)
-
-
 REFINE_MARGIN = 3
 
 
@@ -159,8 +146,7 @@ def _pair_delays(spectra: Spectrum, first: np.ndarray, second: np.ndarray,
             f"({support * lag_spacing} s)")
     steps = np.maximum(steps.astype(int), 1)
     shared = min(int(steps.max()) + REFINE_MARGIN, support)
-    corrs = dsp.correlate_many(phi, upsample_factor, max_lag_steps=shared)
-    values = np.stack([c.values for c in corrs]).reshape(first.shape + (-1,))
+    values = dsp.correlate_many(phi, upsample_factor, max_lag_steps=shared)
     lags = np.abs(np.arange(-shared, shared + 1))
     peak = np.argmax(np.where(lags <= steps[:, None], values, -np.inf), axis=-1)
     if refine:
@@ -174,15 +160,14 @@ def _pair_delays(spectra: Spectrum, first: np.ndarray, second: np.ndarray,
 def estimate_pair_delay(x1: RealSignal, x2: RealSignal, max_lag: float,
                         upsample_factor: int = dsp.DEFAULT_UPSAMPLE,
                         refine: bool = True,
-                        pair: tuple[int, int] = (0, 1),
-                        window_index: int = 0,
                         band_hz: tuple[float, float] | None = None) -> PairDelay:
     """Estimate the delay of channel 2 relative to channel 1 (seconds).
 
     Positive delay means channel 1 leads. The search is restricted to
     |lag| <= max_lag; choose max_lag from the pair baseline
     (baseline / c * 1.2) when geometry is known. Pass ``band_hz`` for
-    band-limited content so whitening ignores empty bins.
+    band-limited content so whitening ignores empty bins. The result is
+    labelled pair (0, 1), window 0.
     """
     if x1.samples.size != x2.samples.size or x1.sample_rate != x2.sample_rate:
         raise ValueError("signals must share length and sample rate")
@@ -194,8 +179,8 @@ def estimate_pair_delay(x1: RealSignal, x2: RealSignal, max_lag: float,
             np.stack([x1.samples, x2.samples]), x1.sample_rate), nfft),
         np.array([[0]]), np.array([[1]]), [max_lag], upsample_factor, refine,
         band_hz)
-    return PairDelay(pair=pair, delay=float(delay), peak_score=float(score),
-                     window_index=window_index, low_confidence=not concave)
+    return PairDelay(pair=(0, 1), delay=float(delay), peak_score=float(score),
+                     low_confidence=not concave)
 
 
 def default_max_lag(array: MicArray, pair: tuple[int, int],

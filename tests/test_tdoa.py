@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hexloc import dsp, geometry, sim, tdoa
-from hexloc.dsp import CorrelationFunction, MultichannelRecording, RealSignal
+from hexloc.dsp import MultichannelRecording, RealSignal
 from hexloc.errors import NoSignalError
 from hexloc.geometry import PropagationModel, build_hex_array, mic_pairs
 from hexloc.tdoa import (DelayVector, PairDelay, estimate_pair_delay,
-                         expand_delay_features, refine_peak)
+                         expand_delay_features, quadratic_peak_offset)
 
 import oracles
 from fixtures import delayed_pair, fractional_pair
@@ -23,16 +23,14 @@ def white(n, seed=0):
     return np.random.default_rng(seed).standard_normal(n)
 
 
-# --- refine_peak ----------------------------------------------------------
+# --- peak refinement ------------------------------------------------------
 
 def test_refine_exact_parabola_vertex():
     peak = 10
     idx = np.arange(21, dtype=float)
     values = 5.0 - (idx - (peak + 0.3)) ** 2
-    corr = CorrelationFunction(values=values, lag_spacing=1.0 / FS)
-    refined, ok = refine_peak(corr, peak)
+    offset, _, ok = quadratic_peak_offset(values, peak)
     assert ok
-    offset = refined * FS - (peak - corr.center)
     assert offset == pytest.approx(0.3, abs=1e-9)
 
 
@@ -40,56 +38,46 @@ def test_refine_symmetric_peak_zero_offset():
     peak = 10
     idx = np.arange(21, dtype=float)
     values = 5.0 - (idx - peak) ** 2
-    corr = CorrelationFunction(values=values, lag_spacing=1.0 / FS)
-    refined, ok = refine_peak(corr, peak)
+    offset, _, ok = quadratic_peak_offset(values, peak)
     assert ok
-    assert refined * FS - (peak - corr.center) == pytest.approx(0.0, abs=1e-9)
+    assert offset == pytest.approx(0.0, abs=1e-9)
 
 
 def test_refine_sinc_quarter_sample():
     up = 8
     fine = np.arange(-32 * up, 32 * up + 1, dtype=float)
     values = np.sinc(fine / up - 0.25)
-    corr = CorrelationFunction(values=values, lag_spacing=1.0 / (FS * up),
-                               upsample_factor=up)
     # independent dense-grid oracle at 1024x oversampling
     dense = np.arange(-2 * 1024, 2 * 1024 + 1) / 1024.0
     truth = dense[np.argmax(np.sinc(dense - 0.25))]
     assert truth == pytest.approx(0.25, abs=1e-3)
-    refined, ok = refine_peak(corr, int(np.argmax(values)))
+    peak = int(np.argmax(values))
+    offset, _, ok = quadratic_peak_offset(values, peak)
     assert ok
-    assert refined * FS == pytest.approx(truth, abs=0.05)
+    lag_samples = (peak - values.size // 2 + offset) / up
+    assert lag_samples == pytest.approx(truth, abs=0.05)
 
 
 def test_refine_non_concave_falls_back():
     values = np.linspace(0.0, 1.0, 21)  # monotone ramp: no concave fit
-    corr = CorrelationFunction(values=values, lag_spacing=1.0 / FS)
-    refined, ok = refine_peak(corr, 20)
+    offset, vertex, ok = quadratic_peak_offset(values, 20)
     assert not ok
-    assert refined == pytest.approx((20 - corr.center) / FS)
+    assert offset == 0.0
+    assert vertex == values[20]
 
 
 def test_refine_never_leaves_one_grid_step():
     rng = np.random.default_rng(3)
     for _ in range(50):
         values = rng.standard_normal(31)
-        corr = CorrelationFunction(values=values, lag_spacing=1.0 / FS)
-        peak = int(np.argmax(values))
-        refined, _ = refine_peak(corr, peak)
-        assert abs(refined * FS - (peak - corr.center)) <= 1.0 + 1e-12
+        offset, _, _ = quadratic_peak_offset(values, int(np.argmax(values)))
+        assert abs(offset) <= 1.0 + 1e-12
 
 
 def test_refine_boundary_shrinks_window():
     values = np.concatenate([[0.5, 1.0], np.linspace(0.9, 0.0, 19)])
-    corr = CorrelationFunction(values=values, lag_spacing=1.0 / FS)
-    refined, ok = refine_peak(corr, 1)  # only one sample on the left
-    assert abs(refined * FS - (1 - corr.center)) <= 1.0
-
-
-def test_refine_rejects_out_of_range_index():
-    corr = CorrelationFunction(values=np.ones(5), lag_spacing=1.0 / FS)
-    with pytest.raises(ValueError):
-        refine_peak(corr, 9)
+    offset, _, _ = quadratic_peak_offset(values, 1)  # one sample on the left
+    assert abs(offset) <= 1.0
 
 
 @st.composite
