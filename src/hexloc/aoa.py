@@ -210,16 +210,15 @@ def covariance_stack(rec: MultichannelRecording,
         np.linspace(0, in_band.size - 1, min(num_bins, in_band.size))).astype(int))
     selected = in_band[take]
 
-    snapshots = np.empty((rec.num_channels, num_frames, selected.size), dtype=complex)
-    for t in range(num_frames):
-        seg = rec.samples[:, t * hop: t * hop + frame] * window
-        snapshots[:, t, :] = np.fft.rfft(seg, axis=1)[:, selected]
-
-    mats = np.empty((selected.size, rec.num_channels, rec.num_channels),
-                    dtype=complex)
-    for k in range(selected.size):
-        x = snapshots[:, :, k]
-        mats[k] = x @ x.conj().T / num_frames
+    frames = np.lib.stride_tricks.sliding_window_view(
+        rec.samples, frame, axis=1)[:, ::hop]  # (channels, frames, frame)
+    # all frames of a channel in one transform; all channels at once would
+    # hold every windowed frame and its full spectrum (8.9 MB for six
+    # channels of 1.06 s)
+    snapshots = np.stack([np.fft.rfft(f * window)[:, selected]
+                          for f in frames])
+    x = snapshots.transpose(2, 0, 1)  # a (channels, frames) matrix per bin
+    mats = x @ x.conj().transpose(0, 2, 1) / num_frames
     return CovarianceStack(matrices=mats, frequencies=freqs[selected],
                            snapshot_count=num_frames)
 
@@ -259,17 +258,15 @@ def estimate_aoa_music(rec: MultichannelRecording, array: MicArray,
     taus = geometry.element_delays(array, grid_rad, model)  # (6, n_angles)
 
     n = rec.num_channels
-    accum = np.zeros(angles_deg.size)
-    for k in range(stack.matrices.shape[0]):
-        r = stack.matrices[k]
-        loaded = r + (COVARIANCE_LOADING * np.trace(r).real / n) * np.eye(n)
-        _, vecs = np.linalg.eigh(loaded)
-        noise = vecs[:, : n - 1]  # single-source assumption
-        a = np.exp(-2j * np.pi * stack.frequencies[k] * taus)
-        proj = noise.conj().T @ a
-        denom = np.maximum(np.sum(np.abs(proj) ** 2, axis=0), 1e-18 * n)
-        accum += 1.0 / denom
-    scores = accum / stack.matrices.shape[0]
+    r = stack.matrices
+    trace = np.trace(r, axis1=1, axis2=2).real
+    loaded = r + (COVARIANCE_LOADING * trace / n)[:, None, None] * np.eye(n)
+    _, vecs = np.linalg.eigh(loaded)
+    noise = vecs[..., : n - 1]  # single-source assumption
+    a = np.exp((-2j * np.pi * stack.frequencies)[:, None, None] * taus)
+    proj = noise.conj().transpose(0, 2, 1) @ a
+    denom = np.maximum(np.sum(np.abs(proj) ** 2, axis=1), 1e-18 * n)
+    scores = (1.0 / denom).sum(axis=0) / r.shape[0]
 
     azimuth_deg, confidence, ambiguous = _spectrum_peak(angles_deg, scores,
                                                         refine=True)

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import io as hio
@@ -163,7 +164,8 @@ def cmd_localize(args) -> int:
 
     print(f"position_m=({result.position[0]:.4f}, {result.position[1]:.4f}) "
           f"solver={result.method} iterations={result.iterations} "
-          f"condition_flag={result.condition_flag}")
+          f"condition_flag={result.condition_flag} "
+          f"converged={result.converged}")
     for array, est, residual in zip(arrays, estimates, result.residuals):
         print(f"  {array.id}: azimuth_deg={est.azimuth_deg:.3f} "
               f"residual_m={residual:.4f}")
@@ -257,8 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parsing leaves the parser as it was
+_parser = cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

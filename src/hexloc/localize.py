@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,14 +69,51 @@ class LocalizationResult:
     iterations: int = 0
     condition_flag: bool = False
     behind_anchors: tuple[str, ...] = ()  # lines whose solution has t < 0
+    converged: bool = True                # False: IRLS stopped at max_iter
+
+
+class _Lines(NamedTuple):
+    """Bearing lines stacked once: row i of each array is line i."""
+
+    anchors: np.ndarray     # (n, 2)
+    directions: np.ndarray  # (n, 2), unit
+    weights: np.ndarray     # (n,)
+    ids: tuple[str, ...]
+
+    @classmethod
+    def of(cls, lines: list[BearingLine]) -> "_Lines":
+        return cls(np.array([ln.anchor for ln in lines]),
+                   np.array([ln.direction for ln in lines]),
+                   np.array([ln.weight for ln in lines]),
+                   tuple(ln.array_id for ln in lines))
+
+    def take(self, mask: np.ndarray) -> "_Lines":
+        return _Lines(self.anchors[mask], self.directions[mask],
+                      self.weights[mask],
+                      tuple(i for i, m in zip(self.ids, mask) if m))
+
+
+def _distances(lines: _Lines, point: np.ndarray) -> np.ndarray:
+    """|n_i x (p - a_i)| for each line; ``point`` may carry leading axes,
+    which lead the result."""
+    offset = np.asarray(point, dtype=float)[..., None, :] - lines.anchors
+    return np.abs(lines.directions[:, 0] * offset[..., 1]
+                  - lines.directions[:, 1] * offset[..., 0])
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise ``u[i] @ v[i]``, through the same dot kernel as the 1-D
+    product (a written-out ``u0*v0 + u1*v1`` can round differently)."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
 def perpendicular_distances(lines: list[BearingLine], point: np.ndarray) -> np.ndarray:
     """|n_i x (p - a_i)| for each line: distance from point to the line."""
-    point = np.asarray(point, dtype=float)
-    return np.array([abs(ln.direction[0] * (point[1] - ln.anchor[1])
-                         - ln.direction[1] * (point[0] - ln.anchor[0]))
-                     for ln in lines])
+    return _distances(_Lines.of(lines), point)
 
 
 def _check_lines(lines) -> list[BearingLine]:
@@ -85,68 +123,68 @@ def _check_lines(lines) -> list[BearingLine]:
     return lines
 
 
-def _all_parallel(lines: list[BearingLine], tol: float) -> bool:
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            cross = abs(lines[i].direction[0] * lines[j].direction[1]
-                        - lines[i].direction[1] * lines[j].direction[0])
-            if cross > tol:
-                return False
-    return True
+def _all_parallel(directions: np.ndarray, tol: float) -> bool:
+    # every ordered pair: a line crossed with itself gives exactly 0, and
+    # the pair (j, i) exactly the negated cross product of (i, j)
+    cross = _cross(directions[:, None], directions[None])
+    return not np.any(np.abs(cross) > tol)
 
 
-def _weighted_normal_solve(lines: list[BearingLine],
-                           weights: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Minimize sum_i w_i * dist(p, line_i)^2 in closed form."""
-    m = np.zeros((2, 2))
-    b = np.zeros(2)
-    for ln, w in zip(lines, weights):
-        proj = np.eye(2) - np.outer(ln.direction, ln.direction)
-        m += w * proj
-        b += w * (proj @ ln.anchor)
+def _weighted_normal_solve(lines: _Lines,
+                           weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize sum_i w_i * dist(p, line_i)^2 in closed form; returns the
+    position and the 2x2 normal matrix."""
+    d = lines.directions
+    proj = np.eye(2) - d[:, :, None] * d[:, None, :]
+    # summed over the lines in order, as term-by-term accumulation would
+    m = (weights[:, None, None] * proj).sum(0)
+    b = (weights[:, None] * (proj @ lines.anchors[:, :, None])[..., 0]).sum(0)
     try:
-        cond = np.linalg.cond(m)
         position = np.linalg.solve(m, b)
     except np.linalg.LinAlgError as exc:
         raise UnlocalizableError("normal equations are singular") from exc
     if not np.all(np.isfinite(position)):
         raise UnlocalizableError("normal equations are singular")
-    return position, bool(cond > CONDITION_LIMIT)
+    return position, m
 
 
-def _finish(lines, position, method, inliers=(), weights=(), iterations=0,
-            condition_flag=False) -> LocalizationResult:
-    res = perpendicular_distances(lines, position)
-    behind = tuple(ln.array_id for ln in lines
-                   if float(ln.direction @ (position - ln.anchor)) < 0.0)
+def _ill_conditioned(m: np.ndarray) -> bool:
+    """Condition flag of a normal matrix that :func:`_weighted_normal_solve`
+    has solved, so finite and nonsingular."""
+    return bool(np.linalg.cond(m) > CONDITION_LIMIT)
+
+
+def _finish(lines: _Lines, position, method, inliers=(), weights=(),
+            iterations=0, condition_flag=False,
+            converged=True) -> LocalizationResult:
+    res = _distances(lines, position)
+    along = _dot(lines.directions, position - lines.anchors)
+    behind = tuple(i for i, t in zip(lines.ids, along) if t < 0.0)
     return LocalizationResult(position=position, residuals=tuple(res),
                               method=method, inliers=inliers, weights=weights,
                               iterations=iterations,
                               condition_flag=condition_flag,
-                              behind_anchors=behind)
+                              behind_anchors=behind, converged=converged)
 
 
 def solve_mle(lines: list[BearingLine]) -> LocalizationResult:
     """Closed-form minimizer of the weighted squared perpendicular distances."""
-    lines = _check_lines(lines)
-    if _all_parallel(lines, PARALLEL_SIN_TOL):
+    stack = _Lines.of(_check_lines(lines))
+    if _all_parallel(stack.directions, PARALLEL_SIN_TOL):
         raise UnlocalizableError("all bearing lines are parallel")
-    weights = np.array([ln.weight for ln in lines])
-    position, flag = _weighted_normal_solve(lines, weights)
-    return _finish(lines, position, "mle", condition_flag=flag)
+    position, m = _weighted_normal_solve(stack, stack.weights)
+    return _finish(stack, position, "mle", condition_flag=_ill_conditioned(m))
 
 
-def _intersect_pair(a: BearingLine, b: BearingLine) -> np.ndarray | None:
-    """Exact intersection of two lines; None when nearly parallel."""
-    cross = a.direction[0] * b.direction[1] - a.direction[1] * b.direction[0]
-    if abs(cross) < RANSAC_PAIR_SIN_TOL:
-        return None
+def _intersect(lines: _Lines, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Exact intersection of lines i[k] and j[k], one row per pair."""
+    d = lines.directions
     # rows are the line normals
-    n1 = np.array([-a.direction[1], a.direction[0]])
-    n2 = np.array([-b.direction[1], b.direction[0]])
-    mat = np.stack([n1, n2])
-    rhs = np.array([n1 @ a.anchor, n2 @ b.anchor])
-    return np.linalg.solve(mat, rhs)
+    normals = np.stack([-d[:, 1], d[:, 0]], axis=1)
+    offsets = _dot(normals, lines.anchors)
+    mat = np.stack([normals[i], normals[j]], axis=1)
+    rhs = np.stack([offsets[i], offsets[j]], axis=1)
+    return np.linalg.solve(mat, rhs[..., None])[..., 0]
 
 
 def solve_ransac(lines: list[BearingLine],
@@ -158,41 +196,52 @@ def solve_ransac(lines: list[BearingLine],
     Ties between equal-consensus candidates break toward the lowest total
     inlier residual; totals within ``RANSAC_TIE_M`` count as equal and keep
     the earlier candidate. Deterministic for a fixed seed.
+
+    Each distinct ordered pair is intersected and scored once, in the order
+    the seeded draws first reach it: a pair drawn again scores as before,
+    and cannot beat a best that already beat or was it, so the draws stop
+    once every ordered pair has come up.
     """
     lines = _check_lines(lines)
     if not threshold > 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
+    stack = _Lines.of(lines)
     if len(lines) == 2:
         base = solve_mle(lines)
-        return _finish(lines, base.position, "ransac",
-                       inliers=tuple(ln.array_id for ln in lines),
+        return _finish(stack, base.position, "ransac", inliers=stack.ids,
                        iterations=0, condition_flag=base.condition_flag)
 
     rng = np.random.default_rng(seed)
-    best = None  # (count, total_residual, inlier_mask, candidate)
+    drawn = {}  # distinct ordered pairs, in the order first drawn
     for _ in range(iterations):
-        i, j = rng.choice(len(lines), size=2, replace=False)
-        candidate = _intersect_pair(lines[i], lines[j])
-        if candidate is None:
-            continue
-        dists = perpendicular_distances(lines, candidate)
-        mask = dists <= threshold
-        count, total = int(mask.sum()), float(dists[mask].sum())
+        drawn.setdefault(tuple(rng.choice(len(lines), size=2, replace=False)))
+        if len(drawn) == len(lines) * (len(lines) - 1):
+            break  # every later draw repeats a pair
+    i, j = np.array(list(drawn), dtype=int).reshape(-1, 2).T
+    # a nearly parallel pair gives no candidate
+    keep = np.abs(_cross(stack.directions[i], stack.directions[j])) \
+        >= RANSAC_PAIR_SIN_TOL
+    if not np.any(keep):
+        raise UnlocalizableError("no bearing pair produced an intersection")
+    candidates = _intersect(stack, i[keep], j[keep])
+    dists = _distances(stack, candidates)  # (candidates, lines)
+    masks = dists <= threshold
+    best = None  # (count, total, index)
+    for k, (dist, mask) in enumerate(zip(dists, masks)):
+        count, total = int(mask.sum()), float(dist[mask].sum())
         if best is None or count > best[0] \
                 or (count == best[0] and total < best[1] - RANSAC_TIE_M):
-            best = (count, total, mask, candidate)
-    if best is None:
-        raise UnlocalizableError("no bearing pair produced an intersection")
+            best = (count, total, k)
 
-    _, _, mask, candidate = best
-    inlier_lines = [ln for ln, m in zip(lines, mask) if m]
-    if len(inlier_lines) >= 2 and not _all_parallel(inlier_lines, PARALLEL_SIN_TOL):
-        weights = np.array([ln.weight for ln in inlier_lines])
-        position, flag = _weighted_normal_solve(inlier_lines, weights)
+    mask = masks[best[2]]
+    inliers = stack.take(mask)
+    if len(inliers.ids) >= 2 \
+            and not _all_parallel(inliers.directions, PARALLEL_SIN_TOL):
+        position, m = _weighted_normal_solve(inliers, inliers.weights)
+        flag = _ill_conditioned(m)
     else:
-        position, flag = candidate, False
-    return _finish(lines, position, "ransac",
-                   inliers=tuple(ln.array_id for ln, m in zip(lines, mask) if m),
+        position, flag = candidates[best[2]], False
+    return _finish(stack, position, "ransac", inliers=inliers.ids,
                    iterations=iterations, condition_flag=flag)
 
 
@@ -202,23 +251,28 @@ def solve_irls(lines: list[BearingLine], max_iter: int = IRLS_MAX_ITER,
 
     Starts from the weighted least-squares solution and updates
     w_i = 1 / max(residual_i, floor) until the position moves less than
-    ``tol`` meters or ``max_iter`` is reached.
+    ``tol`` meters or ``max_iter`` is reached; ``converged`` tells which.
     """
     lines = _check_lines(lines)
+    stack = _Lines.of(lines)
     start = solve_mle(lines)
     position = start.position
-    weights = np.array([ln.weight for ln in lines])
+    weights = stack.weights
     flag = start.condition_flag
     iterations = 0
+    converged = False
     for _ in range(max_iter):
-        residuals = perpendicular_distances(lines, position)
+        residuals = _distances(stack, position)
         weights = 1.0 / np.maximum(residuals, IRLS_RESIDUAL_FLOOR_M)
-        new_position, flag = _weighted_normal_solve(lines, weights)
+        new_position, m = _weighted_normal_solve(stack, weights)
         iterations += 1
         moved = float(np.linalg.norm(new_position - position))
         position = new_position
         if moved < tol:
+            converged = True
             break
-    return _finish(lines, position, "irls", weights=tuple(weights),
-                   iterations=iterations, condition_flag=flag)
-
+    if iterations:  # the flag of the last solve
+        flag = _ill_conditioned(m)
+    return _finish(stack, position, "irls", weights=tuple(weights),
+                   iterations=iterations, condition_flag=flag,
+                   converged=converged)

@@ -6,14 +6,12 @@ from __future__ import annotations
 import csv
 import io as _io
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
 from . import aoa, dsp, localize, sim, tdoa
+from ._tasks import map_tasks
 from .aoa import AoaEstimate, AoaMethod, AoaSpectrum, circular_error_deg
 from .dsp import MultichannelRecording
 from .errors import AmbiguousEstimateError, NoSignalError, UnlocalizableError
@@ -122,19 +120,6 @@ def solve_bearings(lines: list[BearingLine],
     return localize.solve_mle(lines)
 
 
-def _map_arrays(fn, recs, arrays) -> list:
-    """``[fn(rec, array) for rec, array in zip(recs, arrays)]``, one task per
-    array on up to one thread per core.
-
-    Each array's estimate is independent of the others, and its work is
-    mostly numpy and FFT code that releases the interpreter lock. Results,
-    and the first error, come out in array order, as from the serial loop.
-    """
-    workers = min(len(arrays), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, recs, arrays))
-
-
 def localize_recordings(recs: list[MultichannelRecording],
                         arrays: list[MicArray],
                         method: AoaMethod | str = AoaMethod.GCC_PLUS,
@@ -147,10 +132,9 @@ def localize_recordings(recs: list[MultichannelRecording],
         config = PipelineConfig()
     if len(recs) != len(arrays) or len(arrays) < 2:
         raise ValueError("need matching recordings for at least two arrays")
-    estimates = _map_arrays(
-        lambda rec, array: estimate_recording_aoa(rec, array, method, config,
-                                                  model)[1],
-        recs, arrays)
+    estimates = map_tasks(
+        lambda job: estimate_recording_aoa(*job, method, config, model)[1],
+        zip(recs, arrays))
     lines = bearings_from_estimates(arrays, estimates, config)
     return solve_bearings(lines, config), estimates
 
@@ -191,8 +175,9 @@ def run_eval(n_trials: int, bounds: tuple[float, float, float, float],
              solvers: tuple[str, ...] = ALL_SOLVERS) -> EvalRows:
     """Sample scenarios, run every method and solver, record per-trial errors.
 
-    Within a trial the arrays are estimated concurrently, each band-passed
-    once and shared by every method.
+    Within a trial the arrays render concurrently, then each is band-passed
+    once, as one task, and every (array, method) estimate is a task of its
+    own on the shared band-passed recording. The solvers run serially.
     """
     if config is None:
         config = PipelineConfig()
@@ -203,14 +188,19 @@ def run_eval(n_trials: int, bounds: tuple[float, float, float, float],
     rows = EvalRows()
     for t, scene in enumerate(scenes):
         recordings, truth = sim.synthesize(scene)
-        per_array = _map_arrays(
-            partial(_estimate_methods, methods=methods, config=config,
-                    model=scene.model),
-            recordings, scene.arrays)
+        filtered = map_tasks(
+            lambda rec: dsp.bandpass_recording(rec, *config.band_hz),
+            recordings)
+        # (array, method) order: array a's estimates are a slice of len(methods)
+        estimates = map_tasks(
+            lambda job: _estimate_or_none(*job, config, scene.model),
+            [(rec, array, method)
+             for rec, array in zip(filtered, scene.arrays)
+             for method in methods])
         for m, method in enumerate(methods):
             usable = []
-            for array, estimates in zip(scene.arrays, per_array):
-                est = estimates[m]
+            for a, array in enumerate(scene.arrays):
+                est = estimates[a * len(methods) + m]
                 if est is None:
                     err, status = math.nan, "error"
                 else:
@@ -229,20 +219,15 @@ def run_eval(n_trials: int, bounds: tuple[float, float, float, float],
     return rows
 
 
-def _estimate_methods(rec: MultichannelRecording, array: MicArray,
-                      methods: tuple[AoaMethod, ...], config: PipelineConfig,
-                      model: PropagationModel) -> list[AoaEstimate | None]:
-    """Band-pass one recording once, then run every method on it; None
-    where the estimator gives up."""
-    filtered = dsp.bandpass_recording(rec, *config.band_hz)
-    estimates = []
-    for method in methods:
-        try:
-            estimates.append(_estimate_filtered(filtered, array, method,
-                                                config, model)[1])
-        except (AmbiguousEstimateError, NoSignalError):
-            estimates.append(None)
-    return estimates
+def _estimate_or_none(filtered: MultichannelRecording, array: MicArray,
+                      method: AoaMethod, config: PipelineConfig,
+                      model: PropagationModel) -> AoaEstimate | None:
+    """One method's estimate on a band-passed recording; None where the
+    estimator gives up."""
+    try:
+        return _estimate_filtered(filtered, array, method, config, model)[1]
+    except (AmbiguousEstimateError, NoSignalError):
+        return None
 
 
 def _localization_error(usable: list[tuple[MicArray, AoaEstimate]],

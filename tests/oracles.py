@@ -8,6 +8,12 @@ import math
 
 import numpy as np
 
+from hexloc import dsp, geometry, sim
+from hexloc.errors import UnlocalizableError
+from hexloc.localize import (CONDITION_LIMIT, IRLS_RESIDUAL_FLOOR_M,
+                             PARALLEL_SIN_TOL, RANSAC_PAIR_SIN_TOL,
+                             RANSAC_TIE_M)
+
 
 def brute_force_delay_samples(x1, x2, max_lag_samples):
     """Argmax of normalized time-domain cross-correlation, integer lags.
@@ -137,8 +143,206 @@ def quadratic_peak_offset(values, peak, circular=False):
     return offset, vertex_value, True
 
 
+def synthesize_serial(scene):
+    """The scene renderer as one loop over the arrays: each array's start
+    offset is drawn, its recording rendered and its noise drawn with
+    ``rng.normal`` before the next array's offset. The source signal and
+    the phase ramps come from the simulator's own helpers; returns the
+    recordings' sample matrices."""
+    model = scene.model
+    fs = model.sample_rate
+    length = int(round(scene.duration * fs))
+    base_s = max(2.0 * a.side_length for a in scene.arrays) \
+        / model.speed_of_sound
+    margin = int(math.ceil((sim.MAX_START_OFFSET_S + sim.MAX_ECHO_DELAY_S
+                            + base_s) * fs)) + 64
+    src_length = length - margin
+    rng = np.random.default_rng(scene.seed)
+    source = sim._source_signal(scene, rng, src_length)
+    ramp = min(int(round(sim.TAPER_S * fs)), src_length // 4)
+    if ramp > 0:
+        taper = 0.5 * (1.0 - np.cos(np.pi * np.arange(ramp) / ramp))
+        source = source.copy()
+        source[:ramp] *= taper
+        source[-ramp:] *= taper[::-1]
+    nfft = dsp.next_pow2(length)
+    spectrum = np.fft.rfft(source, nfft)
+    bin_hz = fs / nfft
+    out = []
+    for array in scene.arrays:
+        azimuth = geometry.azimuth_to(array, scene.source)
+        offset = base_s + rng.uniform(0.0, sim.MAX_START_OFFSET_S)
+        taus = geometry.element_delays(array, azimuth, model)
+        response = sim._delay_ramp(taus + offset, bin_hz, spectrum.size)
+        for echo in scene.echoes:
+            echo_az = azimuth + math.radians(echo.azimuth_offset_deg)
+            echo_taus = geometry.element_delays(array, echo_az, model)
+            response += echo.gain * sim._delay_ramp(
+                echo_taus + offset + echo.delay_s, bin_hz, spectrum.size)
+        response *= spectrum
+        channels = np.fft.irfft(response, nfft, axis=1)[:, :length]
+        if np.isfinite(scene.snr_db):
+            power = float(np.mean(channels ** 2))
+            sigma = math.sqrt(power * 10.0 ** (-scene.snr_db / 10.0))
+            channels = channels + rng.normal(0.0, sigma, channels.shape)
+        out.append(channels)
+    return out
+
+
+def covariance_stack_loop(samples, selected, frame, hop):
+    """Per-bin spatial covariances, one STFT frame and one bin at a time."""
+    channels, num_samples = samples.shape
+    num_frames = 1 + (num_samples - frame) // hop
+    window = np.hanning(frame)
+    snapshots = np.empty((channels, num_frames, selected.size), dtype=complex)
+    for t in range(num_frames):
+        seg = samples[:, t * hop: t * hop + frame] * window
+        snapshots[:, t, :] = np.fft.rfft(seg, axis=1)[:, selected]
+    mats = np.empty((selected.size, channels, channels), dtype=complex)
+    for k in range(selected.size):
+        x = snapshots[:, :, k]
+        mats[k] = x @ x.conj().T / num_frames
+    return mats
+
+
+def music_scores_loop(matrices, frequencies, taus, loading):
+    """Incoherent MUSIC pseudo-spectrum, one frequency bin at a time:
+    ``mean_k 1 / |E_n(k)^H a(f_k)|^2`` over the loaded covariances."""
+    n = matrices.shape[1]
+    accum = np.zeros(taus.shape[1])
+    for r, f in zip(matrices, frequencies):
+        loaded = r + (loading * np.trace(r).real / n) * np.eye(n)
+        _, vecs = np.linalg.eigh(loaded)
+        noise = vecs[:, : n - 1]
+        a = np.exp(-2j * np.pi * f * taus)
+        proj = noise.conj().T @ a
+        accum += 1.0 / np.maximum(np.sum(np.abs(proj) ** 2, axis=0),
+                                  1e-18 * n)
+    return accum / matrices.shape[0]
+
+
 def delay_ramp(shift, bin_hz, num_bins):
     """Phase ramp of fractional delays ``shift`` (s) at bins ``k * bin_hz``,
     ``exp(-2 pi i shift k bin_hz)``, one exponential per channel and bin."""
     freqs = np.arange(num_bins) * bin_hz
     return np.exp(-2j * np.pi * np.outer(shift, freqs))
+
+
+# --- bearing fusion, one line at a time --------------------------------------
+# The loop form of hexloc.localize's solvers: the same arithmetic, written per
+# line and per drawn pair. Each returns the fields the solvers report, or
+# raises UnlocalizableError where they do.
+
+def _loop_distances(lines, point):
+    return np.array([abs(ln.direction[0] * (point[1] - ln.anchor[1])
+                         - ln.direction[1] * (point[0] - ln.anchor[0]))
+                     for ln in lines])
+
+
+def _loop_all_parallel(lines, tol):
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            cross = abs(lines[i].direction[0] * lines[j].direction[1]
+                        - lines[i].direction[1] * lines[j].direction[0])
+            if cross > tol:
+                return False
+    return True
+
+
+def _loop_normal_solve(lines, weights):
+    m = np.zeros((2, 2))
+    b = np.zeros(2)
+    for ln, w in zip(lines, weights):
+        proj = np.eye(2) - np.outer(ln.direction, ln.direction)
+        m += w * proj
+        b += w * (proj @ ln.anchor)
+    try:
+        cond = np.linalg.cond(m)
+        position = np.linalg.solve(m, b)
+    except np.linalg.LinAlgError as exc:
+        raise UnlocalizableError("normal equations are singular") from exc
+    if not np.all(np.isfinite(position)):
+        raise UnlocalizableError("normal equations are singular")
+    return position, bool(cond > CONDITION_LIMIT)
+
+
+def _loop_result(lines, position, method, inliers=(), weights=(),
+                 iterations=0, condition_flag=False, converged=True):
+    behind = tuple(ln.array_id for ln in lines
+                   if float(ln.direction @ (position - ln.anchor)) < 0.0)
+    return {"position": position,
+            "residuals": tuple(_loop_distances(lines, position)),
+            "method": method, "inliers": inliers, "weights": weights,
+            "iterations": iterations, "condition_flag": condition_flag,
+            "behind_anchors": behind, "converged": converged}
+
+
+def loop_solve_mle(lines):
+    if _loop_all_parallel(lines, PARALLEL_SIN_TOL):
+        raise UnlocalizableError("all bearing lines are parallel")
+    weights = np.array([ln.weight for ln in lines])
+    position, flag = _loop_normal_solve(lines, weights)
+    return _loop_result(lines, position, "mle", condition_flag=flag)
+
+
+def loop_solve_ransac(lines, threshold, iterations, seed):
+    """One drawn pair per iteration, intersected and measured anew."""
+    if len(lines) == 2:
+        base = loop_solve_mle(lines)
+        return _loop_result(lines, base["position"], "ransac",
+                            inliers=tuple(ln.array_id for ln in lines),
+                            condition_flag=base["condition_flag"])
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(iterations):
+        i, j = rng.choice(len(lines), size=2, replace=False)
+        a, b = lines[i], lines[j]
+        cross = a.direction[0] * b.direction[1] - a.direction[1] * b.direction[0]
+        if abs(cross) < RANSAC_PAIR_SIN_TOL:
+            continue
+        n1 = np.array([-a.direction[1], a.direction[0]])
+        n2 = np.array([-b.direction[1], b.direction[0]])
+        candidate = np.linalg.solve(np.stack([n1, n2]),
+                                    np.array([n1 @ a.anchor, n2 @ b.anchor]))
+        dists = _loop_distances(lines, candidate)
+        mask = dists <= threshold
+        count, total = int(mask.sum()), float(dists[mask].sum())
+        if best is None or count > best[0] \
+                or (count == best[0] and total < best[1] - RANSAC_TIE_M):
+            best = (count, total, mask, candidate)
+    if best is None:
+        raise UnlocalizableError("no bearing pair produced an intersection")
+    _, _, mask, candidate = best
+    inlier_lines = [ln for ln, m in zip(lines, mask) if m]
+    if len(inlier_lines) >= 2 \
+            and not _loop_all_parallel(inlier_lines, PARALLEL_SIN_TOL):
+        weights = np.array([ln.weight for ln in inlier_lines])
+        position, flag = _loop_normal_solve(inlier_lines, weights)
+    else:
+        position, flag = candidate, False
+    return _loop_result(
+        lines, position, "ransac",
+        inliers=tuple(ln.array_id for ln, m in zip(lines, mask) if m),
+        iterations=iterations, condition_flag=flag)
+
+
+def loop_solve_irls(lines, max_iter, tol):
+    start = loop_solve_mle(lines)
+    position = start["position"]
+    weights = np.array([ln.weight for ln in lines])
+    flag = start["condition_flag"]
+    iterations = 0
+    converged = False
+    for _ in range(max_iter):
+        residuals = _loop_distances(lines, position)
+        weights = 1.0 / np.maximum(residuals, IRLS_RESIDUAL_FLOOR_M)
+        new_position, flag = _loop_normal_solve(lines, weights)
+        iterations += 1
+        moved = float(np.linalg.norm(new_position - position))
+        position = new_position
+        if moved < tol:
+            converged = True
+            break
+    return _loop_result(lines, position, "irls", weights=tuple(weights),
+                        iterations=iterations, condition_flag=flag,
+                        converged=converged)

@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hexloc import dsp, sim
-from hexloc.aoa import (AoaEstimate, AoaMethod, AoaSpectrum,
+from hexloc.aoa import (COVARIANCE_LOADING, MUSIC_FRAME, MUSIC_HOP,
+                        AoaEstimate, AoaMethod, AoaSpectrum,
                         baseline_aoa_gcc_phat, circular_error_deg,
                         covariance_stack, estimate_aoa_gcc,
                         estimate_aoa_music)
 from hexloc.dsp import MultichannelRecording
 from hexloc.errors import AmbiguousEstimateError, NoSignalError
-from hexloc.geometry import (PropagationModel, build_hex_array, mic_pairs,
-                             predicted_pair_delay)
+from hexloc.geometry import (PropagationModel, build_hex_array,
+                             element_delays, mic_pairs, predicted_pair_delay)
 from hexloc.tdoa import DelayVector, PairDelay, expand_delay_features
+
+import oracles
 
 MODEL = PropagationModel()
 FS = MODEL.sample_rate
@@ -303,3 +306,26 @@ def test_covariance_stack_band_validation():
         covariance_stack(rec, band_hz=(3500.0, 300.0))
     with pytest.raises(ValueError):
         covariance_stack(rec, num_bins=0)
+
+
+@pytest.mark.parametrize("echoes", [(), (sim.Echo(0.004, 0.5, 85.0),
+                                         sim.Echo(0.009, 0.5, -130.0))],
+                         ids=["clean", "two-echo"])
+def test_music_batched_equals_per_bin_loop(echoes):
+    # one STFT over all frames, one covariance product, eigh and projection
+    # over all bins: the same numbers as the frame-by-frame, bin-by-bin loop
+    array = build_hex_array((0.0, 0.0), 0.4, array_id="A")
+    for trial, azimuth in enumerate((33.0, 151.0, 264.0)):
+        rec, _ = scene_recording(array, azimuth, seed=400 + trial,
+                                 snr_db=20.0, echoes=echoes)
+        filtered = dsp.bandpass_recording(rec, *BAND)
+        stack = covariance_stack(filtered)
+        selected = np.round(stack.frequencies * MUSIC_FRAME / FS).astype(int)
+        want = oracles.covariance_stack_loop(filtered.samples, selected,
+                                             MUSIC_FRAME, MUSIC_HOP)
+        assert stack.matrices.tobytes() == want.tobytes()
+        spectrum, _ = estimate_aoa_music(filtered, array, MODEL)
+        taus = element_delays(array, np.deg2rad(spectrum.angles_deg), MODEL)
+        scores = oracles.music_scores_loop(want, stack.frequencies, taus,
+                                           COVARIANCE_LOADING)
+        assert spectrum.scores.tobytes() == scores.tobytes()

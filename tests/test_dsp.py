@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from hexloc import dsp
 from hexloc.dsp import (MultichannelRecording, RealSignal, Spectrum,
@@ -91,6 +92,38 @@ def test_bandpass_preserves_length():
     x = white(5000, seed=3)
     y = bandpass(RealSignal(x, FS), 300.0, 3500.0)
     assert y.samples.size == x.size
+
+
+@pytest.mark.parametrize("shape,band", [
+    ((6, 46746), (300.0, 3500.0)),
+    ((15000,), (300.0, 3500.0)),
+    ((3, 4000), (0.0, 3500.0)),
+    ((2, 4000), (300.0, FS / 2.0)),
+    ((1, 200), (300.0, 3500.0)),
+])
+def test_bandpass_is_centred_fftconvolve_with_one_design(monkeypatch, shape,
+                                                         band):
+    # the taps are designed once per (rate, band, length), and filtering is
+    # fftconvolve(mode="same") with them, bit for bit
+    designs = []
+
+    def recording_design(*args, **kwargs):
+        designs.append(signal.firwin(*args, **kwargs))
+        return designs[-1]
+
+    monkeypatch.setattr(dsp, "firwin", recording_design)
+    dsp._band_filter.cache_clear()
+    x = np.random.default_rng(7).standard_normal(shape)
+    kind = MultichannelRecording if len(shape) == 2 else RealSignal
+    got = [bandpass(kind(x, FS), *band).samples for _ in range(2)]
+    assert len(designs) == 1
+    taps = designs[0].reshape((1,) * (x.ndim - 1) + designs[0].shape)
+    want = signal.fftconvolve(x, taps, mode="same", axes=-1) \
+        / np.max(np.abs(x), axis=-1, keepdims=True)
+    for y in got:
+        assert y.tobytes() == want.tobytes()
+    response = dsp._band_filter(FS, *band, shape[-1])[0]
+    assert not response.flags.writeable
 
 
 def test_bandpass_rejects_bad_edges():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hexloc.errors import UnlocalizableError
-from hexloc.localize import (IRLS_TOL_M, RANSAC_PAIR_SIN_TOL,
+from hexloc.localize import (IRLS_MAX_ITER, IRLS_TOL_M, RANSAC_PAIR_SIN_TOL,
                              RANSAC_THRESHOLD_M, BearingLine,
                              perpendicular_distances, solve_irls, solve_mle,
                              solve_ransac)
@@ -383,3 +383,73 @@ def test_ransac_equivariant_under_rigid_motion(lines, shift, theta):
                                rtol=0, atol=tol)
     np.testing.assert_allclose(rotated.position, rotation @ want.position,
                                rtol=0, atol=tol)
+
+
+# --- array-form solvers against the per-line loop ------------------------------
+
+@st.composite
+def any_bearings(draw):
+    """2-6 weighted lines aimed at a target, each either near it (up to 5
+    degrees off), exactly on it, or anywhere (a gross outlier, possibly
+    parallel to another line or pointing away from the target)."""
+    target = np.array(draw(st.tuples(st.floats(-5.0, 5.0),
+                                      st.floats(-5.0, 5.0))))
+    count = draw(st.integers(2, 6))
+    lines = []
+    for k in range(count):
+        anchor = np.array(draw(st.tuples(st.floats(-10.0, 10.0),
+                                         st.floats(-10.0, 10.0))))
+        error = draw(st.just(0.0) | st.floats(-5.0, 5.0)
+                     | st.floats(-180.0, 180.0))
+        weight = draw(st.floats(0.2, 3.0))
+        offset = target - anchor
+        azimuth = math.atan2(offset[1], offset[0]) + math.radians(error)
+        lines.append(BearingLine.from_azimuth(anchor, azimuth, weight=weight,
+                                              array_id=f"L{k}"))
+    return lines
+
+
+def outcome(solve):
+    try:
+        return solve()
+    except UnlocalizableError as exc:
+        return type(exc)
+
+
+def assert_same_result(got, want):
+    if not isinstance(want, dict):
+        assert got is want
+        return
+    np.testing.assert_array_equal(got.position, want["position"])
+    for name, value in want.items():
+        if name != "position":
+            assert getattr(got, name) == value, name
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=any_bearings(), seed=st.integers(0, 2 ** 16),
+       iterations=st.sampled_from([0, 1, 7, 100]),
+       max_iter=st.sampled_from([0, 1, 3, 50]))
+def test_solvers_equal_per_line_loop(lines, seed, iterations, max_iter):
+    assert_same_result(outcome(lambda: solve_mle(lines)),
+                       outcome(lambda: oracles.loop_solve_mle(lines)))
+    assert_same_result(
+        outcome(lambda: solve_ransac(lines, RANSAC_THRESHOLD_M, iterations,
+                                     seed)),
+        outcome(lambda: oracles.loop_solve_ransac(lines, RANSAC_THRESHOLD_M,
+                                                  iterations, seed)))
+    assert_same_result(
+        outcome(lambda: solve_irls(lines, max_iter, IRLS_TOL_M)),
+        outcome(lambda: oracles.loop_solve_irls(lines, max_iter, IRLS_TOL_M)))
+
+
+def test_irls_reports_whether_it_converged():
+    lines = lines_to_target([(0.0, 0.0), (10.0, 0.0), (0.0, 9.0)], (3.0, 4.0))
+    assert solve_irls(lines).converged
+    assert solve_mle(lines).converged
+    assert solve_ransac(lines).converged
+    # three lines that meet pairwise far apart: IRLS still moves after 50
+    noisy = [line((0.0, 0.0), 40.0), line((5.0, 1.0), 160.0),
+             line((2.0, -3.0), 95.0)]
+    capped = solve_irls(noisy)
+    assert capped.iterations == IRLS_MAX_ITER and not capped.converged

@@ -382,3 +382,30 @@ def test_all_channels_constant_gives_no_trusted_bearing(a1_scene, method):
         return
     assert spectrum.ambiguous
     assert est.confidence == 0.0
+
+
+def test_eval_give_ups_land_on_their_array_and_method(monkeypatch):
+    # array A2 records nothing: each method gives up on it alone, and its
+    # rows, and the fusion of the other two bearings, stay in place
+    original = sim.synthesize
+
+    def silent_a2(scene):
+        recordings, truth = original(scene)
+        recordings[1] = dsp.MultichannelRecording(
+            np.zeros_like(recordings[1].samples), recordings[1].sample_rate)
+        return recordings, truth
+
+    monkeypatch.setattr(sim, "synthesize", silent_a2)
+    cfg = PipelineConfig(seed=8)
+    kw = dict(snr_db=20.0, echoes=(), solvers=pipeline.ALL_SOLVERS)
+    bounds = (0.5, 0.5, 5.5, 4.5)
+    got = run_eval(1, bounds, cfg, **kw)
+    want = serial_eval(1, bounds, cfg, **kw)
+    assert rows_to_csv(got.aoa, pipeline.AOA_TRIAL_FIELDS) \
+        == rows_to_csv(want.aoa, pipeline.AOA_TRIAL_FIELDS)
+    assert rows_to_csv(got.loc, pipeline.LOC_TRIAL_FIELDS) \
+        == rows_to_csv(want.loc, pipeline.LOC_TRIAL_FIELDS)
+    assert [(r["method"], r["array_id"]) for r in got.aoa
+            if r["status"] == "error"] \
+        == [(m.value, "A2") for m in pipeline.ALL_METHODS]
+    assert all(r["status"] == "ok" for r in got.loc)
