@@ -141,12 +141,14 @@ def cmd_localize(args) -> int:
     if len(arrays) < 2:
         return _fail(EXIT_USAGE,
                      "manifest must reference at least two arrays")
-    try:
-        recs = [hio.read_wav(p) for p in wav_paths]
-    except FileNotFoundError as exc:
-        return _fail(EXIT_IO, str(exc))
-    except SceneConfigError as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    recs = []
+    for path in wav_paths:
+        try:
+            recs.append(hio.read_wav(path))
+        except FileNotFoundError as exc:
+            return _fail(EXIT_IO, str(exc))
+        except ValueError as exc:  # not a WAV, non-finite samples, format
+            return _fail(EXIT_USAGE, f"{path}: {exc}")
     if "sample_rate_hz" in manifest:
         for path, rec in zip(wav_paths, recs):
             if rec.sample_rate != model.sample_rate:

@@ -8,12 +8,12 @@ microphone 1 first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
-from scipy.signal import firwin, kaiserord
+from numpy.fft import fft, ifft, irfft, rfft
 
 DEFAULT_BAND_HZ = (300.0, 3500.0)
 DEFAULT_UPSAMPLE = 8
@@ -24,6 +24,23 @@ STOPBAND_ATTEN_DB = 60.0
 def next_pow2(n: int) -> int:
     """Smallest power of two >= n."""
     return 1 << max(0, int(n) - 1).bit_length()
+
+
+@lru_cache(maxsize=64)
+def next_fast_len(target: int, real: bool = False) -> int:
+    """Smallest length >= ``target`` that the FFT factors into small radices:
+    5-smooth for real transforms, 11-smooth for complex ones, the rule of
+    ``scipy.fft.next_fast_len``."""
+    primes = (2, 3, 5) if real else (2, 3, 5, 7, 11)
+    n = max(1, int(target))
+    while True:
+        rest = n
+        for p in primes:
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
 
 
 @dataclass(frozen=True)
@@ -46,13 +63,18 @@ class RealSignal:
 
 @dataclass(frozen=True)
 class MultichannelRecording:
-    """Synchronized sample matrix for one array, shape (channels, samples)."""
+    """Synchronized sample matrix for one array, shape (channels, samples).
+
+    The samples are stored C-contiguous, one channel per row: the row-wise
+    transforms downstream run ≈15-20% slower over strided rows, such as a
+    transposed (samples, channels) WAV matrix.
+    """
 
     samples: np.ndarray
     sample_rate: float
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
+        samples = np.ascontiguousarray(self.samples, dtype=float)
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 2 or samples.shape[0] < 1 or samples.shape[1] < 2:
             raise ValueError("samples must have shape (channels, samples>=2)")
@@ -134,7 +156,7 @@ def real_spectrum(signal: RealSignal | MultichannelRecording,
     n = int(nfft) if nfft is not None else length
     if n < length:
         raise ValueError("nfft must be >= signal length")
-    return _derived(np.fft.rfft(signal.samples, n=n), signal.sample_rate / n, n)
+    return _derived(rfft(signal.samples, n=n), signal.sample_rate / n, n)
 
 
 def inverse_real_spectrum(spectrum: Spectrum) -> np.ndarray:
@@ -142,7 +164,7 @@ def inverse_real_spectrum(spectrum: Spectrum) -> np.ndarray:
     n, first = spectrum.origin_length, spectrum.first_bin
     bins = np.zeros(spectrum.bins.shape[:-1] + (n // 2 + 1,), dtype=complex)
     bins[..., first:first + spectrum.bins.shape[-1]] = spectrum.bins
-    return np.fft.irfft(bins, n=n)
+    return irfft(bins, n=n)
 
 
 def bandpass(signal: RealSignal | MultichannelRecording, low_hz: float,
@@ -180,7 +202,7 @@ def bandpass(signal: RealSignal | MultichannelRecording, low_hz: float,
 def _band_filter(fs: float, low_hz: float, high_hz: float,
                  n: int) -> tuple[np.ndarray, int, int]:
     """The band-pass FIR for ``n``-sample signals, designed once per
-    (rate, band, length): the one-sided spectrum of its taps at scipy's fast
+    (rate, band, length): the one-sided spectrum of its taps at the fast
     length for the full linear convolution (read-only, shared by every
     caller), that length, and the offset of the centred ``n`` samples.
     """
@@ -195,8 +217,14 @@ def _band_filter(fs: float, low_hz: float, high_hz: float,
         candidates.append(0.8 * (nyq - high_hz))
     width = max(min(candidates), 2.0 * fs / n, 1.0)
 
-    ntaps, beta = kaiserord(STOPBAND_ATTEN_DB, width / nyq)
+    # Kaiser's length and shape estimates (Oppenheim & Schafer) for a
+    # stopband attenuation above 50 dB, as scipy.signal.kaiserord gives them
+    beta = 0.1102 * (STOPBAND_ATTEN_DB - 8.7)
+    ntaps = math.ceil(
+        (STOPBAND_ATTEN_DB - 7.95) / 2.285 / (np.pi * (width / nyq)) + 1)
     ntaps += (ntaps + 1) % 2  # odd length: integer group delay, type I
+    # firwin is looked up as a module global on each design, with
+    # scipy.signal.firwin's arguments, so it can be counted or swapped
     if low_hz <= 0.0:
         taps = firwin(ntaps, high_hz, window=("kaiser", beta), fs=fs)
     elif high_hz >= nyq:
@@ -209,6 +237,37 @@ def _band_filter(fs: float, low_hz: float, high_hz: float,
     response = rfft(taps, size)
     response.flags.writeable = False
     return response, size, (ntaps - 1) // 2
+
+
+def firwin(numtaps: int, cutoff, window: tuple[str, float],
+           pass_zero: bool = True, fs: float = 2.0) -> np.ndarray:
+    """Linear-phase FIR taps by the window method: ``scipy.signal.firwin``
+    for a ``("kaiser", beta)`` window.
+
+    ``cutoff`` holds the band edges in Hz, increasing, strictly inside
+    (0, fs / 2). The passbands alternate with the stopbands between them,
+    starting with a passband at DC when ``pass_zero``; one that reaches
+    Nyquist needs an odd ``numtaps``. The ideal response, a sum of sincs, is
+    tapered by the window and scaled to unit gain at the centre of the
+    first passband (at DC or Nyquist when that band touches it).
+    """
+    name, beta = window
+    if name != "kaiser":
+        raise ValueError(f"firwin designs with a Kaiser window, got {name!r}")
+    edges = np.atleast_1d(np.asarray(cutoff, dtype=float)) / (0.5 * fs)
+    pass_nyquist = (edges.size % 2 == 0) == pass_zero
+    bands = np.concatenate(([0.0] * pass_zero, edges,
+                            [1.0] * pass_nyquist)).reshape(-1, 2)
+    m = np.arange(numtaps, dtype=float) - 0.5 * (numtaps - 1)
+    h = np.zeros(numtaps)
+    for left, right in bands:
+        h += right * np.sinc(right * m)
+        h -= left * np.sinc(left * m)
+    h *= np.kaiser(numtaps, beta)
+    left, right = bands[0]
+    centre = 0.0 if left == 0.0 else 1.0 if right == 1.0 else 0.5 * (left + right)
+    h /= np.sum(h * np.cos(np.pi * m * centre))
+    return h
 
 
 def bandpass_recording(rec: MultichannelRecording, low_hz: float,
@@ -353,9 +412,9 @@ def _lag_window(rows: np.ndarray, weights: np.ndarray, first_bin: int,
     # x *= y keeps the operand order of x * y
     coeffs *= weights
     coeffs *= chirp[first_bin:last]
-    conv = fft(buf, overwrite_x=True)
+    conv = fft(buf, out=buf)
     conv *= fft(kernel, size)
-    conv = ifft(conv, overwrite_x=True)
+    ifft(conv, out=conv)
     lags = np.abs(np.arange(-max_lag_steps, max_lag_steps + 1))
     values = (conv[:, num_bins - 1: span] * chirp[lags]).real
     return values / n_up

@@ -7,7 +7,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from . import geometry, sim
 from .dsp import MultichannelRecording
@@ -35,24 +34,33 @@ def wav_sample_rate(rate: float) -> int:
 
 def write_wav(path, rec: MultichannelRecording) -> None:
     """Write a recording as 32-bit float WAV, channels ordered by element."""
+    # imported here: scipy costs a process ≈0.25 s, and most never touch WAV
+    from scipy.io import wavfile
     wavfile.write(str(path), wav_sample_rate(rec.sample_rate),
                   np.ascontiguousarray(rec.samples.T, dtype=np.float32))
 
 
 def read_wav(path) -> MultichannelRecording:
-    """Read a WAV file; integer PCM is normalized to [-1, 1]."""
+    """Read a WAV file; integer PCM is normalized to [-1, 1].
+
+    A file that is not a WAV raises ValueError, and so do non-finite
+    samples; an unsupported sample format raises SceneConfigError.
+    """
+    from scipy.io import wavfile  # imported here, as in write_wav
     rate, data = wavfile.read(str(path))
     if data.ndim == 1:
         data = data[:, None]
-    if data.dtype in _PCM_SCALE:
-        data = data.astype(np.float64) / _PCM_SCALE[data.dtype]
-    elif data.dtype == np.uint8:
-        data = (data.astype(np.float64) - 128.0) / 128.0
-    elif data.dtype in (np.float32, np.float64):
-        data = data.astype(np.float64)
-    else:
+    if data.dtype not in _PCM_SCALE and data.dtype not in (
+            np.uint8, np.float32, np.float64):
         raise SceneConfigError(f"unsupported WAV sample format {data.dtype}")
-    return MultichannelRecording(data.T, float(rate))
+    # one copy, transposed to a row per channel
+    samples = np.ascontiguousarray(data.T, dtype=np.float64)
+    if data.dtype in _PCM_SCALE:
+        samples /= _PCM_SCALE[data.dtype]
+    elif data.dtype == np.uint8:
+        samples -= 128.0
+        samples /= 128.0
+    return MultichannelRecording(samples, float(rate))
 
 
 def _require(obj: dict, key: str, context: str):

@@ -67,6 +67,23 @@ def sine_rms(x, freq_hz, sample_rate):
     return math.hypot(*coef) / math.sqrt(2.0)
 
 
+def kaiser_band_design(fs, low_hz, high_hz, n):
+    """(ntaps, beta) of the band-pass FIR for ``n``-sample signals, from
+    ``scipy.signal.kaiserord`` at 60 dB: the transition is the narrowest of
+    a quarter of the band and 80% of each guard band, but no narrower than
+    2 fs / n or 1 Hz, and the length is rounded up to odd."""
+    from scipy.signal import kaiserord
+    nyq = fs / 2.0
+    widths = [0.25 * (high_hz - low_hz)]
+    if low_hz > 0.0:
+        widths.append(0.8 * low_hz)
+    if high_hz < nyq:
+        widths.append(0.8 * (nyq - high_hz))
+    width = max(min(widths), 2.0 * fs / n, 1.0)
+    ntaps, beta = kaiserord(60.0, width / nyq)
+    return ntaps + (ntaps + 1) % 2, beta
+
+
 def line_point_distance(anchor, azimuth, point):
     """Perpendicular distance from a point to a line through anchor."""
     nx, ny = math.cos(azimuth), math.sin(azimuth)

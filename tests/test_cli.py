@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -154,6 +157,44 @@ def test_localize_sample_rate_mismatch_exit_2(tmp_path, capsys):
     assert cli.main(["localize", str(path)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "44100" in err and "48000" in err
+
+
+def write_bad_wav(path, kind):
+    """A file named like a capture that read_wav rejects with ValueError."""
+    if kind == "corrupt":
+        path.write_bytes(b"RIFX" + bytes(range(60)))
+    else:  # a well-formed float WAV carrying a NaN sample
+        from scipy.io import wavfile
+        data = np.zeros((4096, 6), dtype=np.float32)
+        data[100, 2] = np.nan
+        wavfile.write(str(path), 44100, data)
+
+
+@pytest.mark.parametrize("kind", ["corrupt", "nan"])
+def test_bad_wav_exit_2_naming_the_file(tmp_path, capsys, kind):
+    out = simulated_fixture(tmp_path)
+    write_bad_wav(out / "A2.wav", kind)
+    assert cli.main(["localize", str(out / "manifest.json")]) \
+        == cli.EXIT_USAGE
+    assert str(out / "A2.wav") in capsys.readouterr().err
+    spec_path = tmp_path / "a2.json"
+    spec_path.write_text(json.dumps(
+        {"id": "A2", "center_m": [6.0, 0.0], "orientation_rad": 2.0}))
+    assert cli.main(["aoa", str(out / "A2.wav"), str(spec_path)]) \
+        == cli.EXIT_USAGE
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only when a WAV file is read or written
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, hexloc, hexloc.cli, hexloc.io; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("key, value", [("speed_of_sound_m_s", -343),
@@ -340,6 +381,7 @@ def test_wav_int16_read_normalized(tmp_path):
     wavfile.write(str(path), 44100, data)
     rec = hio.read_wav(path)
     assert rec.num_channels == 6
+    assert rec.samples.flags.c_contiguous
     assert float(np.max(np.abs(rec.samples))) <= 1.0
     np.testing.assert_allclose(rec.samples.T * 32768.0, data, atol=1.0)
 

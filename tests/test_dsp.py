@@ -38,6 +38,13 @@ def test_real_signal_validation():
         RealSignal(np.ones(8), 0.0)
 
 
+def test_recording_stores_channel_rows_contiguous():
+    x = white(600, seed=4).reshape(100, 6)  # (samples, channels), as a WAV
+    rec = MultichannelRecording(x.T, FS)
+    assert rec.samples.flags.c_contiguous
+    assert np.array_equal(rec.samples, x.T)
+
+
 def test_spectrum_bin_count_enforced():
     with pytest.raises(ValueError):
         Spectrum(bins=np.ones(5, dtype=complex), bin_spacing=1.0,
@@ -124,6 +131,55 @@ def test_bandpass_is_centred_fftconvolve_with_one_design(monkeypatch, shape,
         assert y.tobytes() == want.tobytes()
     response = dsp._band_filter(FS, *band, shape[-1])[0]
     assert not response.flags.writeable
+
+
+@pytest.mark.parametrize("fs", [8000.0, 16000.0, 44100.0, 48000.0])
+@pytest.mark.parametrize("numtaps", [3, 31, 255, 1001])
+def test_firwin_matches_scipy(fs, numtaps):
+    nyq = fs / 2.0
+    branches = [(3500.0, True),                    # low-pass
+                (300.0, False),                    # high-pass
+                ([300.0, 3500.0], False),          # band-pass
+                ([0.1 * nyq, 0.6 * nyq], False)]
+    for cutoff, pass_zero in branches:
+        for beta in (0.0, 5.65326, 8.6):
+            args = (numtaps, cutoff)
+            kwargs = dict(window=("kaiser", beta), pass_zero=pass_zero, fs=fs)
+            want = signal.firwin(*args, **kwargs)
+            got = dsp.firwin(*args, **kwargs)
+            assert got.shape == want.shape
+            # np.kaiser and scipy's window differ in the last bit
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("fs", [8000.0, 16000.0, 44100.0, 48000.0])
+@pytest.mark.parametrize("band", [(300.0, 3500.0), (0.0, 3500.0),
+                                  (300.0, None), (1000.0, 1100.0)])
+@pytest.mark.parametrize("n", [200, 4096, 46746])
+def test_band_filter_is_kaiserord_design(monkeypatch, fs, band, n):
+    low, high = band[0], fs / 2.0 if band[1] is None else band[1]
+    calls = []
+
+    def recording_design(*args, **kwargs):
+        calls.append((args, kwargs))
+        return firwin(*args, **kwargs)
+
+    firwin = dsp.firwin
+    monkeypatch.setattr(dsp, "firwin", recording_design)
+    dsp._band_filter.cache_clear()
+    dsp._band_filter(fs, low, high, n)
+    [(args, kwargs)] = calls
+    assert (args[0], kwargs["window"][1]) \
+        == oracles.kaiser_band_design(fs, low, high, n)
+
+
+def test_next_fast_len_matches_scipy():
+    from scipy import fft
+    targets = list(range(1, 3001)) \
+        + np.random.default_rng(5).integers(3001, 2 ** 17, 300).tolist()
+    for real in (True, False):
+        assert [dsp.next_fast_len(t, real) for t in targets] \
+            == [fft.next_fast_len(t, real) for t in targets]
 
 
 def test_bandpass_rejects_bad_edges():
