@@ -108,8 +108,17 @@ def _spectrum_peak(angles_deg: np.ndarray, scores: np.ndarray,
         return float(angles_deg[peak]), 0.0, True
     step = float(angles_deg[1] - angles_deg[0])
     offset = 0.0
-    if refine:  # a non-concave fit leaves the offset at 0
-        offset, _, _ = tdoa.quadratic_peak_offset(scores, peak, circular=True)
+    if refine:
+        # vertex of the parabola through the peak and its two circular
+        # neighbours; symmetric about the peak, so a source halfway between
+        # two grid angles lands at the same azimuth whichever of the tied
+        # scores the argmax picks. The peak is the maximum, so the vertex
+        # lies within half a step (up to rounding); three equal scores
+        # leave it at 0
+        before, top, after = scores[[peak - 1, peak, (peak + 1) % scores.size]]
+        curvature = before - 2.0 * top + after
+        if curvature < 0.0:
+            offset = float((before - after) / (2.0 * curvature))
     azimuth = (float(angles_deg[peak]) + offset * step) % 360.0
     prominence = float((scores.max() - np.median(scores)) / spread)
     return azimuth, prominence, False
@@ -132,9 +141,9 @@ def estimate_aoa_gcc(delays: DelayVector, array: MicArray,
 
     score(theta) = -sum_e w_e (observed_e - predicted_e(theta))^2, with
     weights from correlation peak scores (normalized) or uniform. The
-    discrete argmax is refined by the same quadratic vertex rule the delay
-    estimator uses, applied circularly over the grid. Predictions use
-    global-frame element positions, so the returned azimuth is global.
+    discrete argmax is refined by the vertex of the parabola through it and
+    its two circular neighbours on the grid. Predictions use global-frame
+    element positions, so the returned azimuth is global.
     """
     if not delays.entries:
         raise ValueError("delay vector is empty")

@@ -79,8 +79,7 @@ def _parabola_stencils() -> np.ndarray:
 _PARABOLA_STENCILS = _parabola_stencils()
 
 
-def quadratic_peak_offset(values: np.ndarray, peak: int | np.ndarray,
-                          circular: bool = False) -> tuple:
+def quadratic_peak_offset(values: np.ndarray, peak: int | np.ndarray) -> tuple:
     """Subsample offset of a discrete peak via a least-squares parabola,
     row by row: ``values`` has shape (..., n) and ``peak`` one index per row.
 
@@ -97,19 +96,13 @@ def quadratic_peak_offset(values: np.ndarray, peak: int | np.ndarray,
     peak = np.asarray(peak)
     n = values.shape[-1]
     positions = peak[..., None] + np.arange(-2, 4)
-    if circular:
-        fit = np.zeros(peak.shape, dtype=int)
-        positions %= n
-    else:
-        room = np.minimum(peak, n - 1 - peak)
-        fit = np.where(room >= 2, np.where(peak + 3 < n, 0, 1), 2)
-        np.clip(positions, 0, n - 1, out=positions)
+    room = np.minimum(peak, n - 1 - peak)
+    fit = np.where(room >= 2, np.where(peak + 3 < n, 0, 1), 2)
+    np.clip(positions, 0, n - 1, out=positions)
     window = np.take_along_axis(values, positions, axis=-1)
     a, b, c = np.moveaxis(
         np.matmul(_PARABOLA_STENCILS[fit], window[..., None])[..., 0], -1, 0)
-    concave = np.isfinite(a) & (a < 0)
-    if not circular:
-        concave &= room >= 1
+    concave = np.isfinite(a) & (a < 0) & (room >= 1)
     a = np.where(concave, a, -1.0)
     offset = np.where(concave, np.clip(-b / (2.0 * a), -1.0, 1.0), 0.0)
     vertex_value = np.where(concave, c - b * b / (4.0 * a), window[..., 2])

@@ -126,11 +126,11 @@ def upsampled_correlation(bins, origin_length, upsample_factor, max_lag_steps):
     return np.array(values)
 
 
-def quadratic_peak_offset(values, peak, circular=False):
+def quadratic_peak_offset(values, peak):
     """Subsample offset of a discrete peak from ``np.polyfit``, one window at
     a time: a least-squares parabola through the six samples at
-    peak-2 .. peak+3 (taken modulo the length when ``circular``), or, near a
-    boundary, through the 5 or 3 samples centred on the peak.
+    peak-2 .. peak+3, or, near a boundary, through the 5 or 3 samples
+    centred on the peak.
 
     Returns (offset_in_steps clamped to [-1, 1], value_at_vertex, concave);
     a non-concave fit, or a peak at the boundary, gives
@@ -138,18 +138,14 @@ def quadratic_peak_offset(values, peak, circular=False):
     """
     values = np.asarray(values, dtype=float)
     n = values.size
-    if circular:
+    if peak - 2 >= 0 and peak + 3 < n:
         positions = np.arange(peak - 2, peak + 4)
-        window = values[positions % n]
     else:
-        if peak - 2 >= 0 and peak + 3 < n:
-            positions = np.arange(peak - 2, peak + 4)
-        else:
-            k = min(peak, n - 1 - peak, 2)
-            if k < 1:
-                return 0.0, float(values[peak]), False
-            positions = np.arange(peak - k, peak + k + 1)
-        window = values[positions]
+        k = min(peak, n - 1 - peak, 2)
+        if k < 1:
+            return 0.0, float(values[peak]), False
+        positions = np.arange(peak - k, peak + k + 1)
+    window = values[positions]
     t = positions - positions.mean()
     a, b, c = np.polyfit(t, window, 2)
     if a >= 0 or not np.isfinite(a):

@@ -83,36 +83,30 @@ def test_refine_boundary_shrinks_window():
 @st.composite
 def peak_rows(draw):
     """Rows of random scores at a drawn scale, one peak index per row: at
-    either boundary or anywhere. A circular row has at least the six samples
-    the fit spans, so its window does not wrap onto itself."""
-    circular = draw(st.booleans())
-    n = draw(st.integers(6 if circular else 1, 40))
+    either boundary or anywhere."""
+    n = draw(st.integers(1, 40))
     rows = draw(st.integers(1, 4))
     scale = 10.0 ** draw(st.integers(-6, 6))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     values = scale * np.random.default_rng(seed).standard_normal((rows, n))
     index = st.sampled_from([0, 1, 2, n - 3, n - 2, n - 1]) | st.integers(0, n - 1)
     peaks = [min(max(draw(index), 0), n - 1) for _ in range(rows)]
-    return values, np.array(peaks), circular
+    return values, np.array(peaks)
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=peak_rows())
-# the circular window wraps at both ends; a boundary peak takes the 3- and
-# 5-point fits or none
-@example(case=(np.random.default_rng(1).standard_normal((2, 12)),
-               np.array([0, 11]), True))
+# a boundary peak takes the 3- and 5-point fits or none
 @example(case=(np.random.default_rng(2).standard_normal((6, 12)),
-               np.array([0, 1, 2, 9, 10, 11]), False))
+               np.array([0, 1, 2, 9, 10, 11])))
 def test_peak_fit_matches_polyfit(case):
-    values, peaks, circular = case
-    offsets, vertices, concave = tdoa.quadratic_peak_offset(values, peaks,
-                                                            circular)
+    values, peaks = case
+    offsets, vertices, concave = tdoa.quadratic_peak_offset(values, peaks)
     assert offsets.shape == vertices.shape == concave.shape == peaks.shape
     for row, peak, offset, vertex, ok in zip(values, peaks, offsets, vertices,
                                              concave):
         want_offset, want_vertex, want_ok = oracles.quadratic_peak_offset(
-            row, int(peak), circular)
+            row, int(peak))
         assert ok == want_ok
         if not ok:
             assert (offset, vertex) == (0.0, row[peak])
@@ -127,7 +121,7 @@ def test_peak_fit_matches_polyfit(case):
             # a vertex past the clamp is extrapolated: any least-squares
             # solver rounds it in proportion to 1 / curvature
             assert vertex == pytest.approx(want_vertex, rel=1e-9)
-        one = tdoa.quadratic_peak_offset(row, int(peak), circular)
+        one = tdoa.quadratic_peak_offset(row, int(peak))
         assert all(isinstance(v, float) for v in one[:2])
         assert one == (offset, vertex, ok)
 
