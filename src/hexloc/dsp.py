@@ -66,7 +66,7 @@ class MultichannelRecording:
     """Synchronized sample matrix for one array, shape (channels, samples).
 
     The samples are stored C-contiguous, one channel per row: the row-wise
-    transforms downstream run ≈15-20% slower over strided rows, such as a
+    transforms downstream are slower over strided rows, such as those of a
     transposed (samples, channels) WAV matrix.
     """
 

@@ -34,7 +34,8 @@ def wav_sample_rate(rate: float) -> int:
 
 def write_wav(path, rec: MultichannelRecording) -> None:
     """Write a recording as 32-bit float WAV, channels ordered by element."""
-    # imported here: scipy costs a process ≈0.25 s, and most never touch WAV
+    # imported here: scipy.io takes ≈0.25 s to import, and `hexloc eval`
+    # and in-memory library calls never touch a WAV file
     from scipy.io import wavfile
     wavfile.write(str(path), wav_sample_rate(rec.sample_rate),
                   np.ascontiguousarray(rec.samples.T, dtype=np.float32))

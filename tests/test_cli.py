@@ -188,7 +188,7 @@ def test_import_loads_no_scipy():
     # scipy is imported only when a WAV file is read or written
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src), os.environ.get("PYTHONPATH", "")]))
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     code = ("import sys, hexloc, hexloc.cli, hexloc.io; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
