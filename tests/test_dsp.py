@@ -158,13 +158,13 @@ def test_firwin_matches_scipy(fs, numtaps):
 @pytest.mark.parametrize("n", [200, 4096, 46746])
 def test_band_filter_is_kaiserord_design(monkeypatch, fs, band, n):
     low, high = band[0], fs / 2.0 if band[1] is None else band[1]
+    firwin = dsp.firwin
     calls = []
 
     def recording_design(*args, **kwargs):
         calls.append((args, kwargs))
         return firwin(*args, **kwargs)
 
-    firwin = dsp.firwin
     monkeypatch.setattr(dsp, "firwin", recording_design)
     dsp._band_filter.cache_clear()
     dsp._band_filter(fs, low, high, n)
