@@ -10,13 +10,11 @@ def map_tasks(fn, items) -> list:
     """``[fn(item) for item in items]``, one task per item on up to one
     thread per core.
 
-    Meant for tasks whose work is mostly numpy and FFT code, which releases
-    the interpreter lock. Results, and the first error, come out in item
-    order, as from the serial loop.
+    Each task starts as soon as its item is yielded, so the work a generator
+    does between items overlaps the tasks already running. Meant for tasks
+    whose work is mostly numpy and FFT code, which releases the interpreter
+    lock. Results, and the first error, come out in item order, as from the
+    serial loop, once every started task has finished.
     """
-    items = list(items)
-    if not items:
-        return []
-    with ThreadPoolExecutor(max_workers=min(len(items),
-                                            os.cpu_count() or 1)) as pool:
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
         return list(pool.map(fn, items))

@@ -100,6 +100,11 @@ def cmd_simulate(args) -> int:
 def cmd_aoa(args) -> int:
     try:
         rec = hio.read_wav(args.wav)
+    except FileNotFoundError as exc:
+        return _fail(EXIT_IO, str(exc))
+    except ValueError as exc:  # not a WAV, non-finite samples, format
+        return _fail(EXIT_USAGE, f"{args.wav}: {exc}")
+    try:
         array = hio.load_array_spec(args.array_spec)
     except FileNotFoundError as exc:
         return _fail(EXIT_IO, str(exc))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +19,15 @@ from .sim import Echo, GroundTruth, Scene
 GROUND_TRUTH_NAME = "ground_truth.json"
 MANIFEST_NAME = "manifest.json"
 
-_PCM_SCALE = {
-    np.dtype(np.int16): 32768.0,
-    np.dtype(np.int32): 2147483648.0,
-}
+# WAVE format tags: the first field of the fmt chunk
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
+# a WAVE_FORMAT_EXTENSIBLE sub-format GUID after its 2-byte format tag
+_SUBFORMAT_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+# (format tag, bytes per sample) -> the sample's dtype on disk; 24-bit PCM
+# is read as 3 bytes and widened to the top of an int32, as scipy reads it
+_SAMPLE_DTYPES = {(_PCM, 1): "u1", (_PCM, 2): "<i2", (_PCM, 3): "3u1",
+                  (_PCM, 4): "<i4", (_IEEE_FLOAT, 4): "<f4",
+                  (_IEEE_FLOAT, 8): "<f8"}
 
 
 def wav_sample_rate(rate: float) -> int:
@@ -33,34 +40,92 @@ def wav_sample_rate(rate: float) -> int:
 
 
 def write_wav(path, rec: MultichannelRecording) -> None:
-    """Write a recording as 32-bit float WAV, channels ordered by element."""
-    # imported here: scipy.io takes ≈0.25 s to import, and `hexloc eval`
-    # and in-memory library calls never touch a WAV file
-    from scipy.io import wavfile
-    wavfile.write(str(path), wav_sample_rate(rec.sample_rate),
-                  np.ascontiguousarray(rec.samples.T, dtype=np.float32))
+    """Write a recording as 32-bit float WAV, channels ordered by element.
+
+    The bytes are those of ``scipy.io.wavfile.write`` for the float32
+    matrix: an 18-byte fmt chunk, a fact chunk, then the data chunk.
+    """
+    rate = wav_sample_rate(rec.sample_rate)
+    channels, frames = rec.samples.shape
+    data = np.empty((frames, channels), "<f4")
+    data[...] = rec.samples.T
+    if data.nbytes > 0xFFFFFFFF - 50:
+        raise ValueError(f"{frames} frames of {channels} channels exceed "
+                         "the 4 GiB of a RIFF WAV file")
+    header = struct.pack("<4sI4s4sIHHIIHHH4sII4sI",
+                         b"RIFF", 50 + data.nbytes, b"WAVE",
+                         b"fmt ", 18, _IEEE_FLOAT, channels, rate,
+                         rate * 4 * channels, 4 * channels, 32, 0,
+                         b"fact", 4, frames, b"data", data.nbytes)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(data)
+
+
+def _read_exactly(fh, size: int, what: str) -> bytes:
+    chunk = fh.read(size)
+    if len(chunk) < size:
+        raise ValueError(f"WAV file ends inside its {what}")
+    return chunk
 
 
 def read_wav(path) -> MultichannelRecording:
-    """Read a WAV file; integer PCM is normalized to [-1, 1].
+    """Read a RIFF WAV file; integer PCM is normalized to [-1, 1].
 
-    A file that is not a WAV raises ValueError, and so do non-finite
-    samples; an unsupported sample format raises SceneConfigError.
+    Reads IEEE float 32/64-bit and PCM 8/16/24/32-bit samples, also from
+    ``WAVE_FORMAT_EXTENSIBLE`` headers, and skips chunks other than fmt and
+    data. A file that is not a RIFF WAV, or is truncated, raises ValueError,
+    and so do non-finite samples; an unsupported sample format or a RIFX or
+    RF64 container raises SceneConfigError.
     """
-    from scipy.io import wavfile  # imported here, as in write_wav
-    rate, data = wavfile.read(str(path))
-    if data.ndim == 1:
-        data = data[:, None]
-    if data.dtype not in _PCM_SCALE and data.dtype not in (
-            np.uint8, np.float32, np.float64):
-        raise SceneConfigError(f"unsupported WAV sample format {data.dtype}")
-    # one copy, transposed to a row per channel
-    samples = np.ascontiguousarray(data.T, dtype=np.float64)
-    if data.dtype in _PCM_SCALE:
-        samples /= _PCM_SCALE[data.dtype]
-    elif data.dtype == np.uint8:
-        samples -= 128.0
-        samples /= 128.0
+    with open(path, "rb") as fh:
+        riff, _, wave = struct.unpack("<4sI4s",
+                                      _read_exactly(fh, 12, "RIFF header"))
+        if riff in (b"RIFX", b"RF64"):
+            raise SceneConfigError(
+                f"{riff.decode()} WAV files are not supported")
+        if riff != b"RIFF" or wave != b"WAVE":
+            raise ValueError("not a RIFF WAVE file")
+        fmt = None
+        while True:
+            chunk_id, size = struct.unpack(
+                "<4sI", _read_exactly(fh, 8, "chunk list before a data chunk"))
+            if chunk_id == b"data":
+                break
+            if chunk_id == b"fmt ":
+                fmt = _read_exactly(fh, size, "fmt chunk")
+                fh.seek(size & 1, 1)
+            else:  # chunks are padded to an even size
+                fh.seek(size + (size & 1), 1)
+        if fmt is None or len(fmt) < 16:
+            raise ValueError("WAV file has no fmt chunk before its data")
+        tag, channels, rate, _, block_align, bits = struct.unpack_from(
+            "<HHIIHH", fmt)
+        if tag == _EXTENSIBLE and fmt[26:40] == _SUBFORMAT_TAIL:
+            tag, = struct.unpack_from("<H", fmt, 24)
+        width = block_align // channels if channels else 0
+        dtype = _SAMPLE_DTYPES.get((tag, width))
+        if dtype is None or block_align != width * channels:
+            raise SceneConfigError(
+                f"unsupported WAV sample format: format tag {tag}, "
+                f"{bits} bits, {channels} channels in {block_align} bytes")
+        frames = size // block_align
+        # checked before allocating: a corrupt size may claim up to 4 GiB
+        if frames * block_align > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise ValueError("WAV data chunk is truncated")
+        raw = np.empty(frames * channels, dtype)
+        fh.readinto(raw)
+    if width == 3:
+        wide = np.zeros((raw.shape[0], 4), np.uint8)
+        wide[:, 1:] = raw
+        raw = wide.view("<i4")
+    # one transposing cast to a float64 row per channel
+    samples = np.empty((channels, frames))
+    samples[...] = raw.reshape(frames, channels).T
+    if tag == _PCM:
+        if width == 1:
+            samples -= 128.0
+        samples /= 2.0 ** (8 * raw.itemsize - 1)
     return MultichannelRecording(samples, float(rate))
 
 

@@ -11,6 +11,7 @@ random per-array start offset.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -140,10 +141,13 @@ def _delay_ramp(shift: np.ndarray, bin_hz: float,
 
 def _render_array(scene: Scene, spectrum: np.ndarray, nfft: int, length: int,
                   array: MicArray, azimuth: float, offset: float,
-                  noise: np.ndarray | None) -> MultichannelRecording:
+                  noise: np.ndarray | None,
+                  drawn: threading.Event) -> MultichannelRecording:
     """One array's recording: the source spectrum through each channel's
     direct-path and echo delays, plus ``noise`` (standard normal draws, or
-    None for a noiseless scene; overwritten) scaled to the scene's SNR."""
+    None for a noiseless scene; overwritten) scaled to the scene's SNR. The
+    draws fill ``noise`` while the array renders; ``drawn`` is set once
+    they are done."""
     model = scene.model
     bin_hz = model.sample_rate / nfft
     taus = geometry.element_delays(array, azimuth, model)  # (6,)
@@ -160,6 +164,7 @@ def _render_array(scene: Scene, spectrum: np.ndarray, nfft: int, length: int,
     channels = np.fft.irfft(response, nfft, axis=1)[:, :length]
 
     if noise is not None:
+        drawn.wait()
         signal_power = float(np.mean(channels ** 2))
         noise_sigma = math.sqrt(signal_power * 10.0 ** (-scene.snr_db / 10.0))
         # rng.normal(0.0, noise_sigma) is 0.0 + noise_sigma * z; the
@@ -209,32 +214,41 @@ def synthesize(scene: Scene) -> tuple[list[MultichannelRecording], GroundTruth]:
     nfft = dsp.next_pow2(length)
     spectrum = np.fft.rfft(source, nfft)
 
-    # every random draw, in the serial order: per array its start offset,
-    # then its noise; the arrays then render concurrently. All arrays' noise
-    # shares one buffer: with one allocation per array, the allocator
-    # returned and re-faulted the memory between renders (a serial
+    # All arrays' noise shares one buffer: with one allocation per array, the
+    # allocator returned and re-faulted the memory between renders (a serial
     # three-array render took ≈17k page faults, ≈3k with the one buffer)
     noise = np.empty((sum(a.num_elements for a in scene.arrays), length)) \
         if np.isfinite(scene.snr_db) else None
-    first_row = 0
     azimuths: dict[str, float] = {}
     delays: dict[str, dict[tuple[int, int], float]] = {}
-    jobs = []
-    for array in scene.arrays:
-        azimuth = geometry.azimuth_to(array, scene.source)
-        azimuths[array.id] = math.degrees(azimuth)
-        delays[array.id] = {
-            pair: float(geometry.predicted_pair_delay(array, pair, azimuth, model))
-            for pair in geometry.mic_pairs(array.num_elements)}
-        offset = base_s + rng.uniform(0.0, MAX_START_OFFSET_S)
-        draws = None
-        if noise is not None:
-            draws = rng.standard_normal(
-                out=noise[first_row:first_row + array.num_elements])
-        first_row += array.num_elements
-        jobs.append((array, azimuth, offset, draws))
+
+    def jobs():
+        # every random draw, in the serial order: per array its start
+        # offset, then its noise. A render starts as soon as its offset is
+        # drawn and waits for its noise only to add it, so the draws here
+        # run beside the renders (the Generator releases the GIL)
+        first_row = 0
+        for array in scene.arrays:
+            azimuth = geometry.azimuth_to(array, scene.source)
+            azimuths[array.id] = math.degrees(azimuth)
+            delays[array.id] = {
+                pair: float(geometry.predicted_pair_delay(array, pair,
+                                                          azimuth, model))
+                for pair in geometry.mic_pairs(array.num_elements)}
+            offset = base_s + rng.uniform(0.0, MAX_START_OFFSET_S)
+            rows = None if noise is None \
+                else noise[first_row:first_row + array.num_elements]
+            first_row += array.num_elements
+            drawn = threading.Event()
+            try:
+                yield array, azimuth, offset, rows, drawn
+                if rows is not None:
+                    rng.standard_normal(out=rows)
+            finally:  # also on an error, or a render would wait forever
+                drawn.set()
+
     recordings = map_tasks(
-        lambda job: _render_array(scene, spectrum, nfft, length, *job), jobs)
+        lambda job: _render_array(scene, spectrum, nfft, length, *job), jobs())
 
     truth = GroundTruth(source=scene.source.copy(), azimuth_deg=azimuths,
                         pair_delays=delays)

@@ -1,6 +1,7 @@
-"""Shared signal fixtures for the test suite."""
+"""Shared signal and file fixtures for the test suite."""
 
 import math
+import struct
 
 import numpy as np
 
@@ -43,3 +44,18 @@ def fractional_pair(n, delay_samples, seed=0, snr_db=None):
         x1 = x1 + rng.normal(0.0, sigma, x1.shape)
         x2 = x2 + rng.normal(0.0, sigma, x2.shape)
     return x1, x2
+
+
+def wav_chunk(chunk_id, body, order="<"):
+    """A RIFF chunk: id, size, body, and a pad byte after an odd size."""
+    return (chunk_id + struct.pack(order + "I", len(body)) + body
+            + b"\x00" * (len(body) % 2))
+
+
+def riff_file(*chunks, container=b"RIFF", order="<", size=None):
+    """A WAVE file holding the chunks; ``size`` overrides the header's
+    size field."""
+    body = b"WAVE" + b"".join(chunks)
+    return (container + struct.pack(order + "I",
+                                    len(body) if size is None else size)
+            + body)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 from hexloc import cli, io as hio, sim
 from hexloc.geometry import build_hex_array
 from hexloc.dsp import MultichannelRecording
+
+from fixtures import riff_file, wav_chunk
 
 
 def scene_config(tmp_path, source=(2.5, 2.0), arrays=None, snr_db=25.0,
@@ -160,17 +163,57 @@ def test_localize_sample_rate_mismatch_exit_2(tmp_path, capsys):
 
 
 def write_bad_wav(path, kind):
-    """A file named like a capture that read_wav rejects with ValueError."""
+    """A file named like a capture that read_wav rejects with ValueError;
+    returns a pattern that the error message matches."""
+    data = np.zeros((4096, 6), dtype="<f4")
+    fmt = wav_chunk(b"fmt ", struct.pack("<HHIIHH", 3, 6, 44100,
+                                         44100 * 24, 24, 32))
+    samples = wav_chunk(b"data", data.tobytes())
     if kind == "corrupt":
-        path.write_bytes(b"RIFX" + bytes(range(60)))
-    else:  # a well-formed float WAV carrying a NaN sample
-        from scipy.io import wavfile
-        data = np.zeros((4096, 6), dtype=np.float32)
+        path.write_bytes(b"RIFF" + bytes(range(60)))
+        return "not a RIFF WAVE file"
+    if kind == "nan":  # a well-formed float WAV carrying a NaN sample
         data[100, 2] = np.nan
-        wavfile.write(str(path), 44100, data)
+        wav, message = riff_file(fmt, wav_chunk(b"data", data.tobytes())), \
+            "finite"
+    elif kind == "truncated":  # the data chunk ends 100 frames early
+        wav, message = riff_file(fmt, samples[:-2400]), "truncated"
+    elif kind == "no-fmt":
+        wav, message = riff_file(samples), "no fmt chunk"
+    elif kind == "mu-law":  # format tag 7, one byte per sample
+        wav = riff_file(wav_chunk(b"fmt ", struct.pack(
+            "<HHIIHHH", 7, 6, 8000, 48000, 6, 8, 0)), samples)
+        message = "format tag 7"
+    elif kind == "rifx":  # big-endian
+        wav = riff_file(
+            wav_chunk(b"fmt ", struct.pack(">HHIIHH", 3, 6, 44100,
+                                           44100 * 24, 24, 32), ">"),
+            wav_chunk(b"data", data.astype(">f4").tobytes(), ">"),
+            container=b"RIFX", order=">")
+        message = "RIFX"
+    else:  # RF64: 64-bit sizes in a ds64 chunk, 0xFFFFFFFF in the header
+        ds64 = wav_chunk(b"ds64", struct.pack("<QQQI", 0, data.nbytes,
+                                              len(data), 0))
+        wav = riff_file(ds64, fmt, samples, container=b"RF64",
+                        size=0xFFFFFFFF)
+        message = "RF64"
+    path.write_bytes(wav)
+    return message
 
 
-@pytest.mark.parametrize("kind", ["corrupt", "nan"])
+BAD_WAV_KINDS = ["corrupt", "nan", "truncated", "no-fmt", "mu-law", "rifx",
+                 "rf64"]
+
+
+@pytest.mark.parametrize("kind", BAD_WAV_KINDS)
+def test_read_wav_rejects_bad_file(tmp_path, kind):
+    path = tmp_path / "bad.wav"
+    message = write_bad_wav(path, kind)
+    with pytest.raises(ValueError, match=message):
+        hio.read_wav(path)
+
+
+@pytest.mark.parametrize("kind", BAD_WAV_KINDS)
 def test_bad_wav_exit_2_naming_the_file(tmp_path, capsys, kind):
     out = simulated_fixture(tmp_path)
     write_bad_wav(out / "A2.wav", kind)
@@ -182,19 +225,29 @@ def test_bad_wav_exit_2_naming_the_file(tmp_path, capsys, kind):
         {"id": "A2", "center_m": [6.0, 0.0], "orientation_rad": 2.0}))
     assert cli.main(["aoa", str(out / "A2.wav"), str(spec_path)]) \
         == cli.EXIT_USAGE
+    assert str(out / "A2.wav") in capsys.readouterr().err
 
 
-def test_import_loads_no_scipy():
-    # scipy is imported only when a WAV file is read or written
+def test_import_loads_no_scipy(tmp_path):
+    # WAV files are read and written without scipy: a fresh interpreter
+    # that imports the package, writes a scene and localizes it loads none
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    code = ("import sys, hexloc, hexloc.cli, hexloc.io; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    config = scene_config(tmp_path)
+    out = tmp_path / "out"
+    code = (
+        "import sys, hexloc, hexloc.cli, hexloc.io; "
+        f"assert hexloc.cli.main(['simulate', {str(config)!r}, "
+        f"'--out-dir', {str(out)!r}]) == 0; "
+        f"assert hexloc.cli.main(['localize', {str(out / 'manifest.json')!r}]) "
+        "== 0; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60,
+                          capture_output=True, text=True, timeout=120,
                           check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert "position_m=" in proc.stdout
 
 
 @pytest.mark.parametrize("key, value", [("speed_of_sound_m_s", -343),

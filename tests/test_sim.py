@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -234,5 +236,39 @@ def test_synthesize_equals_serial_render(count, snr_db, echoes):
     got, _ = synthesize(scene)
     want = oracles.synthesize_serial(scene)
     assert len(got) == len(want) == count
+    for rec, samples in zip(got, want):
+        assert rec.samples.tobytes() == samples.tobytes()
+
+
+class LateNoiseGenerator:
+    """A Generator whose in-place normal draws (the scene noise) start
+    late, so that a render that did not wait for its noise would add an
+    unfilled buffer."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def standard_normal(self, *args, out=None, **kw):
+        if out is not None:
+            time.sleep(0.05)
+        return self._rng.standard_normal(*args, out=out, **kw)
+
+
+def test_renders_wait_for_their_noise(monkeypatch):
+    scene = Scene(arrays=sim.default_array_layout(), source=(2.2, 1.7),
+                  snr_db=20.0, seed=12, model=MODEL)
+    want = oracles.synthesize_serial(scene)
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: LateNoiseGenerator(default_rng(seed)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got, _ = synthesize(scene)
+    finally:
+        sys.setswitchinterval(interval)
     for rec, samples in zip(got, want):
         assert rec.samples.tobytes() == samples.tobytes()
