@@ -194,33 +194,29 @@ def baseline_aoa_gcc_phat(rec: MultichannelRecording, array: MicArray,
 
 
 def covariance_stack(rec: MultichannelRecording,
-                     band_hz: tuple[float, float] = dsp.DEFAULT_BAND_HZ,
-                     num_bins: int = MUSIC_NUM_BINS,
-                     frame: int = MUSIC_FRAME,
-                     hop: int = MUSIC_HOP) -> CovarianceStack:
-    """Spatial covariance matrices on frequency bins sampled uniformly
-    inside the band, from 50%-overlap Hann STFT snapshots."""
-    if num_bins < 1:
-        raise ValueError(f"num_bins must be >= 1, got {num_bins}")
+                     band_hz: tuple[float, float] = dsp.DEFAULT_BAND_HZ
+                     ) -> CovarianceStack:
+    """Spatial covariance matrices on ``MUSIC_NUM_BINS`` frequency bins sampled
+    uniformly inside the band, from 50%-overlap Hann STFT snapshots."""
     low, high = band_hz
     nyq = rec.sample_rate / 2.0
     if not (0.0 <= low < high <= nyq):
         raise ValueError(f"band [{low}, {high}] outside (0, {nyq}]")
-    if rec.num_samples < frame:
-        raise ValueError(f"recording shorter than one {frame}-sample frame")
+    if rec.num_samples < MUSIC_FRAME:
+        raise ValueError(f"recording shorter than one {MUSIC_FRAME}-sample frame")
 
-    num_frames = 1 + (rec.num_samples - frame) // hop
-    window = np.hanning(frame)
-    freqs = np.fft.rfftfreq(frame, d=1.0 / rec.sample_rate)
+    num_frames = 1 + (rec.num_samples - MUSIC_FRAME) // MUSIC_HOP
+    window = np.hanning(MUSIC_FRAME)
+    freqs = np.fft.rfftfreq(MUSIC_FRAME, d=1.0 / rec.sample_rate)
     in_band = np.flatnonzero((freqs >= low) & (freqs <= high))
     if in_band.size == 0:
         raise ValueError("band contains no FFT bins at this frame length")
     take = np.unique(np.round(
-        np.linspace(0, in_band.size - 1, min(num_bins, in_band.size))).astype(int))
+        np.linspace(0, in_band.size - 1, min(MUSIC_NUM_BINS, in_band.size))).astype(int))
     selected = in_band[take]
 
     frames = np.lib.stride_tricks.sliding_window_view(
-        rec.samples, frame, axis=1)[:, ::hop]  # (channels, frames, frame)
+        rec.samples, MUSIC_FRAME, axis=1)[:, ::MUSIC_HOP]  # (channels, frames, frame)
     # all frames of a channel in one transform; all channels at once would
     # hold every windowed frame and its full spectrum (8.9 MB for six
     # channels of 1.06 s)
@@ -235,7 +231,6 @@ def covariance_stack(rec: MultichannelRecording,
 def estimate_aoa_music(rec: MultichannelRecording, array: MicArray,
                        model: PropagationModel,
                        band_hz: tuple[float, float] = dsp.DEFAULT_BAND_HZ,
-                       num_bins: int = MUSIC_NUM_BINS,
                        grid_step_deg: float = DEFAULT_GRID_STEP_DEG
                        ) -> tuple[AoaSpectrum, AoaEstimate]:
     """Wideband incoherent MUSIC scan assuming a single source.
@@ -253,7 +248,7 @@ def estimate_aoa_music(rec: MultichannelRecording, array: MicArray,
     if not np.any(rec.samples):
         raise NoSignalError("recording is all zeros")
 
-    stack = covariance_stack(rec, band_hz, num_bins)
+    stack = covariance_stack(rec, band_hz)
     if stack.snapshot_count < rec.num_channels:
         warnings.warn(
             f"only {stack.snapshot_count} snapshots for "

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from functools import cache
 from pathlib import Path
 
@@ -40,19 +41,14 @@ def _default_out_dir(value: str | None) -> Path:
 
 
 def _config_from_args(args) -> PipelineConfig:
-    return PipelineConfig(
-        band_hz=(args.band_low_hz, args.band_high_hz),
-        upsample_factor=args.upsample_factor,
-        num_windows=args.num_windows,
-        grid_step_deg=args.grid_step_deg,
-        solver=args.solver,
-        ransac_threshold_m=args.ransac_threshold_m,
-        ransac_iterations=args.ransac_iterations,
-        seed=args.seed,
-        strict_paper_mode=args.strict_paper_mode)
+    # a field the command declares no flag for keeps its default
+    return PipelineConfig(band_hz=(args.band_low_hz, args.band_high_hz),
+                          **{f.name: getattr(args, f.name)
+                             for f in fields(PipelineConfig) if f.name in args})
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags of the per-array azimuth estimate."""
     default = PipelineConfig()
     parser.add_argument("--band-low-hz", type=float, default=default.band_hz[0])
     parser.add_argument("--band-high-hz", type=float,
@@ -62,14 +58,19 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--num-windows", type=int, default=default.num_windows)
     parser.add_argument("--grid-step-deg", type=float,
                         default=default.grid_step_deg)
+    parser.add_argument("--strict-paper-mode", action="store_true",
+                        default=default.strict_paper_mode)
+
+
+def _add_fusion_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags of the bearing fusion, for the commands that fuse bearings."""
+    default = PipelineConfig()
     parser.add_argument("--solver", choices=ALL_SOLVERS, default=default.solver)
     parser.add_argument("--ransac-threshold-m", type=float,
                         default=default.ransac_threshold_m)
     parser.add_argument("--ransac-iterations", type=int,
                         default=default.ransac_iterations)
     parser.add_argument("--seed", type=int, default=default.seed)
-    parser.add_argument("--strict-paper-mode", action="store_true",
-                        default=default.strict_paper_mode)
 
 
 def cmd_simulate(args) -> int:
@@ -239,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_aoa.add_argument("--method", default="gcc+",
                        choices=[m.value for m in AoaMethod])
     p_aoa.add_argument("--spectrum-csv", default=None)
-    _add_config_flags(p_aoa)
+    _add_estimator_flags(p_aoa)
     p_aoa.set_defaults(func=cmd_aoa)
 
     p_loc = sub.add_parser("localize", help="fuse bearings from a manifest")
@@ -247,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_loc.add_argument("--method", default="gcc+",
                        choices=[m.value for m in AoaMethod])
     p_loc.add_argument("--result-csv", default=None)
-    _add_config_flags(p_loc)
+    _add_estimator_flags(p_loc)
+    _add_fusion_flags(p_loc)
     p_loc.set_defaults(func=cmd_localize)
 
     p_eval = sub.add_parser("eval", help="simulated accuracy sweep")
@@ -261,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--arrays", default=None,
                         help="JSON list of array specs")
     p_eval.add_argument("--out-dir", default=None)
-    _add_config_flags(p_eval)
+    _add_estimator_flags(p_eval)
+    _add_fusion_flags(p_eval)
     p_eval.set_defaults(func=cmd_eval)
     return parser
 

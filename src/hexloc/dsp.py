@@ -289,18 +289,16 @@ def cross_power(a: Spectrum, b: Spectrum) -> Spectrum:
     return _derived(bins, a.bin_spacing, a.origin_length, a.first_bin)
 
 
-def phat_weight(g: Spectrum, epsilon: float = PHAT_EPSILON) -> Spectrum:
+def phat_weight(g: Spectrum) -> Spectrum:
     """Whiten a cross-power spectrum to unit magnitude, keeping only phase.
 
-    Works row by row. ``epsilon`` is relative to the row's peak bin
-    magnitude and guards the division; bins that are exactly zero stay zero.
+    Works row by row. ``PHAT_EPSILON``, relative to the row's peak bin
+    magnitude, guards the division; bins that are exactly zero stay zero.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
     mag = np.abs(g.bins)
     peak = np.max(mag, axis=-1, keepdims=True, initial=0.0)
     # an all-zero row divides by 1 and stays zero
-    np.maximum(mag, np.where(peak > 0.0, epsilon * peak, 1.0), out=mag)
+    np.maximum(mag, np.where(peak > 0.0, PHAT_EPSILON * peak, 1.0), out=mag)
     return _derived(g.bins / mag, g.bin_spacing, g.origin_length, g.first_bin)
 
 

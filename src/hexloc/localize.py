@@ -69,7 +69,7 @@ class LocalizationResult:
     iterations: int = 0
     condition_flag: bool = False
     behind_anchors: tuple[str, ...] = ()  # lines whose solution has t < 0
-    converged: bool = True                # False: IRLS stopped at max_iter
+    converged: bool = True                # False: IRLS stopped at IRLS_MAX_ITER
 
 
 class _Lines(NamedTuple):
@@ -245,13 +245,13 @@ def solve_ransac(lines: list[BearingLine],
                    iterations=iterations, condition_flag=flag)
 
 
-def solve_irls(lines: list[BearingLine], max_iter: int = IRLS_MAX_ITER,
-               tol: float = IRLS_TOL_M) -> LocalizationResult:
+def solve_irls(lines: list[BearingLine]) -> LocalizationResult:
     """Iteratively reweight each line by the inverse of its residual.
 
     Starts from the weighted least-squares solution and updates
     w_i = 1 / max(residual_i, floor) until the position moves less than
-    ``tol`` meters or ``max_iter`` is reached; ``converged`` tells which.
+    ``IRLS_TOL_M`` or ``IRLS_MAX_ITER`` iterations are done; ``converged``
+    tells which.
     """
     lines = _check_lines(lines)
     stack = _Lines.of(lines)
@@ -261,14 +261,14 @@ def solve_irls(lines: list[BearingLine], max_iter: int = IRLS_MAX_ITER,
     flag = start.condition_flag
     iterations = 0
     converged = False
-    for _ in range(max_iter):
+    for _ in range(IRLS_MAX_ITER):
         residuals = _distances(stack, position)
         weights = 1.0 / np.maximum(residuals, IRLS_RESIDUAL_FLOOR_M)
         new_position, m = _weighted_normal_solve(stack, weights)
         iterations += 1
         moved = float(np.linalg.norm(new_position - position))
         position = new_position
-        if moved < tol:
+        if moved < IRLS_TOL_M:
             converged = True
             break
     if iterations:  # the flag of the last solve

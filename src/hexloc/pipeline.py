@@ -51,6 +51,9 @@ class PipelineConfig:
             raise ValueError(f"solver must be one of {ALL_SOLVERS}, got {self.solver!r}")
         if self.upsample_factor < 1 or self.num_windows < 1:
             raise ValueError("upsample_factor and num_windows must be >= 1")
+        if self.ransac_iterations < 1 or not self.ransac_threshold_m > 0:
+            raise ValueError("ransac_iterations must be >= 1 and "
+                             "ransac_threshold_m positive")
 
     @property
     def window_count(self) -> int:

@@ -258,15 +258,11 @@ def synthesize(scene: Scene) -> tuple[list[MultichannelRecording], GroundTruth]:
 def sample_scenarios(n: int, bounds: tuple[float, float, float, float],
                      seed: int = 0, arrays: tuple[MicArray, ...] | None = None,
                      duration: float = DEFAULT_DURATION_S,
-                     snr_db: float = 20.0, echoes: tuple[Echo, ...] = (),
-                     signal_kind: str = "speech",
-                     model: PropagationModel | None = None) -> list[Scene]:
-    """Draw ``n`` scenes with sources uniform in a rectangle, keeping only
-    positions whose nearest array lies within the 0.47-5.2 m range window."""
+                     snr_db: float = 20.0, echoes: tuple[Echo, ...] = ()) -> list[Scene]:
+    """Draw ``n`` speech scenes with sources uniform in a rectangle, keeping
+    only positions whose nearest array lies within the 0.47-5.2 m range window."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if model is None:
-        model = PropagationModel()
     if arrays is None:
         arrays = default_array_layout()
     x0, y0, x1, y1 = bounds
@@ -288,14 +284,13 @@ def sample_scenarios(n: int, bounds: tuple[float, float, float, float],
         dists = np.linalg.norm(centers - point, axis=1)
         if dists.min() < lo or dists.min() > hi:
             continue
-        scenes.append(Scene(arrays=arrays, source=point,
-                            signal_kind=signal_kind, duration=duration,
+        scenes.append(Scene(arrays=arrays, source=point, duration=duration,
                             snr_db=snr_db, echoes=echoes,
-                            seed=int(rng.integers(0, 2 ** 31)), model=model))
+                            seed=int(rng.integers(0, 2 ** 31))))
     return scenes
 
 
-def default_array_layout(model: PropagationModel | None = None) -> tuple[MicArray, ...]:
+def default_array_layout() -> tuple[MicArray, ...]:
     """Three anchors roughly at the edges of a 6 x 5 m room."""
     return (
         geometry.build_hex_array((0.0, 0.0), orientation=0.0, array_id="A1"),

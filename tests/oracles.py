@@ -10,7 +10,8 @@ import numpy as np
 
 from hexloc import dsp, geometry, sim
 from hexloc.errors import UnlocalizableError
-from hexloc.localize import (CONDITION_LIMIT, IRLS_RESIDUAL_FLOOR_M,
+from hexloc.localize import (CONDITION_LIMIT, IRLS_MAX_ITER,
+                             IRLS_RESIDUAL_FLOOR_M, IRLS_TOL_M,
                              PARALLEL_SIN_TOL, RANSAC_PAIR_SIN_TOL,
                              RANSAC_TIE_M)
 
@@ -339,21 +340,21 @@ def loop_solve_ransac(lines, threshold, iterations, seed):
         iterations=iterations, condition_flag=flag)
 
 
-def loop_solve_irls(lines, max_iter, tol):
+def loop_solve_irls(lines):
     start = loop_solve_mle(lines)
     position = start["position"]
     weights = np.array([ln.weight for ln in lines])
     flag = start["condition_flag"]
     iterations = 0
     converged = False
-    for _ in range(max_iter):
+    for _ in range(IRLS_MAX_ITER):
         residuals = _loop_distances(lines, position)
         weights = 1.0 / np.maximum(residuals, IRLS_RESIDUAL_FLOOR_M)
         new_position, flag = _loop_normal_solve(lines, weights)
         iterations += 1
         moved = float(np.linalg.norm(new_position - position))
         position = new_position
-        if moved < tol:
+        if moved < IRLS_TOL_M:
             converged = True
             break
     return _loop_result(lines, position, "irls", weights=tuple(weights),

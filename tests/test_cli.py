@@ -356,6 +356,34 @@ def test_invalid_pipeline_flag_exit_2(tmp_path, capsys, command):
     for flag in ("--num-windows", "--upsample-factor"):
         assert cli.main(argv + [flag, "0"]) == cli.EXIT_USAGE
         assert "must be >= 1" in capsys.readouterr().err
+    if command != "aoa":  # aoa takes no fusion flags
+        for flag in ("--ransac-iterations", "--ransac-threshold-m"):
+            assert cli.main(argv + [flag, "0"]) == cli.EXIT_USAGE
+            assert "invalid pipeline flags" in capsys.readouterr().err
+
+
+FUSION_FLAGS = (("--solver", "ransac", "solver", "ransac"),
+                ("--ransac-threshold-m", "0.25", "ransac_threshold_m", 0.25),
+                ("--ransac-iterations", "7", "ransac_iterations", 7),
+                ("--seed", "1", "seed", 1))
+
+
+@pytest.mark.parametrize("flag,value", [f[:2] for f in FUSION_FLAGS])
+def test_aoa_rejects_fusion_flags(capsys, flag, value):
+    # one bearing is never fused, so aoa declares no fusion flag
+    assert cli.main(["aoa", "missing.wav", "missing.json", flag, value]) \
+        == cli.EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["localize", "manifest.json"], ["eval"]])
+def test_fusion_flags_reach_the_config(command):
+    argv = list(command)
+    for flag, value, _, _ in FUSION_FLAGS:
+        argv += [flag, value]
+    config = cli._config_from_args(cli._parser().parse_args(argv))
+    for _, _, name, want in FUSION_FLAGS:
+        assert getattr(config, name) == want
 
 
 def test_localize_parallel_bearings_exit_3(tmp_path):
