@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 usage/config error, 3 unlocalizable geometry,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields
@@ -17,8 +16,7 @@ from pathlib import Path
 from . import io as hio
 from . import pipeline, sim
 from .aoa import AoaMethod
-from .errors import (AmbiguousEstimateError, NoSignalError, SceneConfigError,
-                     UnlocalizableError)
+from .errors import AmbiguousEstimateError, UnlocalizableError
 from .pipeline import ALL_SOLVERS, PipelineConfig
 from .sim import Echo
 
@@ -74,102 +72,51 @@ def _add_fusion_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        scene = hio.load_scene(args.scene_config)
-    except FileNotFoundError:
-        return _fail(EXIT_IO, f"cannot read {args.scene_config}")
-    except SceneConfigError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    try:
-        hio.wav_sample_rate(scene.model.sample_rate)
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, f"key 'sample_rate_hz' in "
-                                 f"{args.scene_config}: {exc}")
-
-    out_dir = _default_out_dir(args.out_dir)
-    try:
-        recordings, truth = sim.synthesize(scene)
-        manifest = hio.write_scene_outputs(out_dir, scene, recordings, truth)
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write to {out_dir}: {exc}")
+    scene = hio.load_scene(args.scene_config)
+    recordings, truth = sim.synthesize(scene)
+    manifest = hio.write_scene_outputs(_default_out_dir(args.out_dir), scene,
+                                       recordings, truth)
     print(f"wrote {len(recordings)} recordings and {manifest}")
     return EXIT_OK
 
 
 def cmd_aoa(args) -> int:
-    try:
-        rec = hio.read_wav(args.wav)
-    except FileNotFoundError as exc:
-        return _fail(EXIT_IO, str(exc))
-    except ValueError as exc:  # not a WAV, non-finite samples, format
-        return _fail(EXIT_USAGE, f"{args.wav}: {exc}")
-    try:
-        array = hio.load_array_spec(args.array_spec)
-    except FileNotFoundError as exc:
-        return _fail(EXIT_IO, str(exc))
-    except (SceneConfigError, ValueError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    rec = hio.read_wav(args.wav)
+    array = hio.load_array_spec(args.array_spec)
     if rec.num_channels != array.num_elements:
-        return _fail(EXIT_USAGE,
-                     f"WAV has {rec.num_channels} channels, expected "
-                     f"{array.num_elements} for array {array.id!r}")
+        raise ValueError(f"WAV has {rec.num_channels} channels, expected "
+                         f"{array.num_elements} for array {array.id!r}")
     try:
         spectrum, estimate = pipeline.estimate_recording_aoa(
             rec, array, AoaMethod(args.method), args.config)
     except AmbiguousEstimateError as exc:
-        spectrum = exc.spectrum
-        if spectrum is not None and args.spectrum_csv:
-            Path(args.spectrum_csv).write_text(pipeline.spectrum_to_csv(spectrum))
-        return _fail(EXIT_USAGE, f"ambiguous estimate: {exc}")
-    except (NoSignalError, ValueError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
+        if exc.spectrum is not None and args.spectrum_csv:
+            Path(args.spectrum_csv).write_text(
+                pipeline.spectrum_to_csv(exc.spectrum))
+        raise
     print(f"array={array.id} method={estimate.method.value} "
           f"azimuth_deg={estimate.azimuth_deg:.3f} "
           f"confidence={estimate.confidence:.4f} "
           f"ambiguous={spectrum.ambiguous}")
     if args.spectrum_csv:
-        try:
-            Path(args.spectrum_csv).write_text(pipeline.spectrum_to_csv(spectrum))
-        except OSError as exc:
-            return _fail(EXIT_IO, f"cannot write {args.spectrum_csv}: {exc}")
+        Path(args.spectrum_csv).write_text(pipeline.spectrum_to_csv(spectrum))
     return EXIT_OK
 
 
 def cmd_localize(args) -> int:
-    try:
-        arrays, wav_paths, model, manifest = hio.load_manifest(args.manifest)
-    except FileNotFoundError:
-        return _fail(EXIT_IO, f"cannot read {args.manifest}")
-    except (SceneConfigError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    arrays, wav_paths, model, declared_rate = hio.load_manifest(args.manifest)
     if len(arrays) < 2:
-        return _fail(EXIT_USAGE,
-                     "manifest must reference at least two arrays")
-    recs = []
-    for path in wav_paths:
-        try:
-            recs.append(hio.read_wav(path))
-        except FileNotFoundError as exc:
-            return _fail(EXIT_IO, str(exc))
-        except ValueError as exc:  # not a WAV, non-finite samples, format
-            return _fail(EXIT_USAGE, f"{path}: {exc}")
-    if "sample_rate_hz" in manifest:
+        raise ValueError("manifest must reference at least two arrays")
+    recs = [hio.read_wav(path) for path in wav_paths]
+    if declared_rate is not None:
         for path, rec in zip(wav_paths, recs):
-            if rec.sample_rate != model.sample_rate:
-                return _fail(EXIT_USAGE,
-                             f"{path} has sample rate {rec.sample_rate:g} Hz, "
-                             f"manifest declares {model.sample_rate:g} Hz")
+            if rec.sample_rate != declared_rate:
+                raise ValueError(
+                    f"{path} has sample rate {rec.sample_rate:g} Hz, "
+                    f"manifest declares {declared_rate:g} Hz")
 
-    try:
-        result, estimates = pipeline.localize_recordings(
-            recs, arrays, AoaMethod(args.method), args.config, model)
-    except UnlocalizableError as exc:
-        return _fail(EXIT_UNLOCALIZABLE, f"unlocalizable geometry: {exc}")
-    except (AmbiguousEstimateError, NoSignalError, ValueError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
-
+    result, estimates = pipeline.localize_recordings(
+        recs, arrays, AoaMethod(args.method), args.config, model)
     print(f"position_m=({result.position[0]:.4f}, {result.position[1]:.4f}) "
           f"solver={result.method} iterations={result.iterations} "
           f"condition_flag={result.condition_flag} "
@@ -178,46 +125,27 @@ def cmd_localize(args) -> int:
         print(f"  {array.id}: azimuth_deg={est.azimuth_deg:.3f} "
               f"residual_m={residual:.4f}")
     if args.result_csv:
-        try:
-            Path(args.result_csv).write_text(
-                pipeline.result_to_csv(result, arrays, estimates))
-        except OSError as exc:
-            return _fail(EXIT_IO, f"cannot write {args.result_csv}: {exc}")
+        Path(args.result_csv).write_text(
+            pipeline.result_to_csv(result, arrays, estimates))
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     echoes = tuple(Echo(float(d), float(g), float(o))
                    for d, g, o in (args.echo or []))
-    arrays = None
-    if args.arrays:
-        try:
-            with open(args.arrays) as fh:
-                arrays = tuple(hio.parse_array(a, args.arrays)
-                               for a in json.load(fh))
-        except FileNotFoundError:
-            return _fail(EXIT_IO, f"cannot read {args.arrays}")
-        except (SceneConfigError, json.JSONDecodeError) as exc:
-            return _fail(EXIT_USAGE, str(exc))
-    try:
-        rows = pipeline.run_eval(args.trials, tuple(args.bounds), args.config,
-                                 arrays=arrays, snr_db=args.snr_db,
-                                 echoes=echoes)
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    arrays = hio.load_arrays(args.arrays) if args.arrays else None
+    rows = pipeline.run_eval(args.trials, tuple(args.bounds), args.config,
+                             arrays=arrays, snr_db=args.snr_db, echoes=echoes)
     summaries = pipeline.summarize(rows)
     print(pipeline.summary_table(summaries))
 
     out_dir = _default_out_dir(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "summary.csv").write_text(pipeline.summaries_to_csv(summaries))
-        (out_dir / "trials_aoa.csv").write_text(
-            pipeline.rows_to_csv(rows.aoa, pipeline.AOA_TRIAL_FIELDS))
-        (out_dir / "trials_loc.csv").write_text(
-            pipeline.rows_to_csv(rows.loc, pipeline.LOC_TRIAL_FIELDS))
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write to {out_dir}: {exc}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "summary.csv").write_text(pipeline.summaries_to_csv(summaries))
+    (out_dir / "trials_aoa.csv").write_text(
+        pipeline.rows_to_csv(rows.aoa, pipeline.AOA_TRIAL_FIELDS))
+    (out_dir / "trials_loc.csv").write_text(
+        pipeline.rows_to_csv(rows.loc, pipeline.LOC_TRIAL_FIELDS))
     print(f"wrote summary.csv, trials_aoa.csv, trials_loc.csv to {out_dir}")
     return EXIT_OK
 
@@ -274,6 +202,8 @@ _parser = cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; a rejected input prints one error line and returns
+    its exit code, while any other exception propagates with its traceback."""
     parser = _parser()
     try:
         args = parser.parse_args(argv)
@@ -284,7 +214,16 @@ def main(argv: list[str] | None = None) -> int:
             args.config = _config_from_args(args)
         except ValueError as exc:
             return _fail(EXIT_USAGE, f"invalid pipeline flags: {exc}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UnlocalizableError as exc:
+        return _fail(EXIT_UNLOCALIZABLE, f"unlocalizable geometry: {exc}")
+    except OSError as exc:
+        return _fail(EXIT_IO, str(exc))
+    except AmbiguousEstimateError as exc:
+        return _fail(EXIT_USAGE, f"ambiguous estimate: {exc}")
+    except ValueError as exc:
+        return _fail(EXIT_USAGE, str(exc))
 
 
 def entry() -> None:

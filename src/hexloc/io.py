@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 import struct
 from pathlib import Path
 
@@ -76,45 +77,52 @@ def read_wav(path) -> MultichannelRecording:
     ``WAVE_FORMAT_EXTENSIBLE`` headers, and skips chunks other than fmt and
     data. A file that is not a RIFF WAV, or is truncated, raises ValueError,
     and so do non-finite samples; an unsupported sample format or a RIFX or
-    RF64 container raises SceneConfigError.
+    RF64 container raises SceneConfigError. Either message names the file.
     """
-    with open(path, "rb") as fh:
-        riff, _, wave = struct.unpack("<4sI4s",
-                                      _read_exactly(fh, 12, "RIFF header"))
-        if riff in (b"RIFX", b"RF64"):
-            raise SceneConfigError(
-                f"{riff.decode()} WAV files are not supported")
-        if riff != b"RIFF" or wave != b"WAVE":
-            raise ValueError("not a RIFF WAVE file")
-        fmt = None
-        while True:
-            chunk_id, size = struct.unpack(
-                "<4sI", _read_exactly(fh, 8, "chunk list before a data chunk"))
-            if chunk_id == b"data":
-                break
-            if chunk_id == b"fmt ":
-                fmt = _read_exactly(fh, size, "fmt chunk")
-                fh.seek(size & 1, 1)
-            else:  # chunks are padded to an even size
-                fh.seek(size + (size & 1), 1)
-        if fmt is None or len(fmt) < 16:
-            raise ValueError("WAV file has no fmt chunk before its data")
-        tag, channels, rate, _, block_align, bits = struct.unpack_from(
-            "<HHIIHH", fmt)
-        if tag == _EXTENSIBLE and fmt[26:40] == _SUBFORMAT_TAIL:
-            tag, = struct.unpack_from("<H", fmt, 24)
-        width = block_align // channels if channels else 0
-        dtype = _SAMPLE_DTYPES.get((tag, width))
-        if dtype is None or block_align != width * channels:
-            raise SceneConfigError(
-                f"unsupported WAV sample format: format tag {tag}, "
-                f"{bits} bits, {channels} channels in {block_align} bytes")
-        frames = size // block_align
-        # checked before allocating: a corrupt size may claim up to 4 GiB
-        if frames * block_align > os.fstat(fh.fileno()).st_size - fh.tell():
-            raise ValueError("WAV data chunk is truncated")
-        raw = np.empty(frames * channels, dtype)
-        fh.readinto(raw)
+    try:
+        with open(path, "rb") as fh:
+            return _decode_wav(fh)
+    except ValueError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def _decode_wav(fh) -> MultichannelRecording:
+    riff, _, wave = struct.unpack("<4sI4s",
+                                  _read_exactly(fh, 12, "RIFF header"))
+    if riff in (b"RIFX", b"RF64"):
+        raise SceneConfigError(f"{riff.decode()} WAV files are not supported")
+    if riff != b"RIFF" or wave != b"WAVE":
+        raise ValueError("not a RIFF WAVE file")
+    fmt = None
+    while True:
+        chunk_id, size = struct.unpack(
+            "<4sI", _read_exactly(fh, 8, "chunk list before a data chunk"))
+        if chunk_id == b"data":
+            break
+        if chunk_id == b"fmt ":
+            fmt = _read_exactly(fh, size, "fmt chunk")
+            fh.seek(size & 1, 1)
+        else:  # chunks are padded to an even size
+            fh.seek(size + (size & 1), 1)
+    if fmt is None or len(fmt) < 16:
+        raise ValueError("WAV file has no fmt chunk before its data")
+    tag, channels, rate, _, block_align, bits = struct.unpack_from(
+        "<HHIIHH", fmt)
+    if tag == _EXTENSIBLE and fmt[26:40] == _SUBFORMAT_TAIL:
+        tag, = struct.unpack_from("<H", fmt, 24)
+    width = block_align // channels if channels else 0
+    dtype = _SAMPLE_DTYPES.get((tag, width))
+    if dtype is None or block_align != width * channels:
+        raise SceneConfigError(
+            f"unsupported WAV sample format: format tag {tag}, "
+            f"{bits} bits, {channels} channels in {block_align} bytes")
+    frames = size // block_align
+    # checked before allocating: a corrupt size may claim up to 4 GiB
+    if frames * block_align > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ValueError("WAV data chunk is truncated")
+    raw = np.empty(frames * channels, dtype)
+    fh.readinto(raw)
     if width == 3:
         wide = np.zeros((raw.shape[0], 4), np.uint8)
         wide[:, 1:] = raw
@@ -129,25 +137,56 @@ def read_wav(path) -> MultichannelRecording:
     return MultichannelRecording(samples, float(rate))
 
 
-def _require(obj: dict, key: str, context: str):
+# the JSON name of each type a config value is checked against
+_JSON_TYPES = {dict: "object", list: "list", str: "string"}
+
+
+def _load_json(path):
+    """The JSON document in a user file; text that is not JSON names it."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # undecodable text, or not JSON
+            raise SceneConfigError(f"not valid JSON: {path}: {exc}") from exc
+
+
+def _typed(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise SceneConfigError(
+            f"{what} must be a JSON {_JSON_TYPES[kind]}, "
+            f"got {reprlib.repr(value)}")
+    return value
+
+
+def _require(obj: dict, key: str, context: str, kind: type = object):
     if key not in obj:
         raise SceneConfigError(f"missing key '{key}' in {context}")
-    return obj[key]
-
-
-def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise SceneConfigError(f"{what} must be a JSON object, got {value!r}")
-    return value
+    return _typed(obj[key], kind, f"key '{key}' in {context}")
 
 
 def _number(obj: dict, key: str, context: str, default=None) -> float:
     raw = _require(obj, key, context) if default is None else obj.get(key, default)
     try:
         return float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SceneConfigError(
-            f"key '{key}' must be a number in {context}, got {raw!r}") from None
+            f"key '{key}' must be a number in {context}, "
+            f"got {reprlib.repr(raw)}") from None
+
+
+def _point(obj: dict, key: str, context: str) -> tuple[float, float]:
+    """A finite 2D point, written as a list of two numbers."""
+    raw = _require(obj, key, context)
+    try:
+        if isinstance(raw, list) and len(raw) == 2:
+            point = (float(raw[0]), float(raw[1]))
+            if all(map(math.isfinite, point)):
+                return point
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise SceneConfigError(
+        f"key '{key}' must be two finite numbers in {context}, "
+        f"got {reprlib.repr(raw)}")
 
 
 def _propagation_model(config: dict, context: str) -> PropagationModel:
@@ -165,49 +204,67 @@ def _propagation_model(config: dict, context: str) -> PropagationModel:
 
 
 def parse_array(entry: dict, context: str = "array entry") -> MicArray:
-    _object(entry, context)
+    _typed(entry, dict, context)
     array_id = str(_require(entry, "id", context))
-    center = _require(entry, "center_m", context)
+    center = _point(entry, "center_m", context)
     orientation = _number(entry, "orientation_rad", context)
     side = _number(entry, "side_length_m", context, geometry.HEX_SIDE_M)
     try:
         return geometry.build_hex_array(center, orientation, side, array_id)
     except ValueError as exc:
-        raise SceneConfigError(f"invalid array {array_id!r}: {exc}") from exc
+        raise SceneConfigError(
+            f"invalid array {array_id!r} in {context}: {exc}") from exc
 
 
 def load_array_spec(path) -> MicArray:
-    with open(path) as fh:
-        entry = json.load(fh)
-    return parse_array(entry, context=str(path))
+    return parse_array(_load_json(path), context=str(path))
+
+
+def load_arrays(path) -> tuple[MicArray, ...]:
+    """The array specs of a file that holds a JSON list of them."""
+    entries = _typed(_load_json(path), list, str(path))
+    if not entries:
+        raise SceneConfigError(f"{path} lists no array spec")
+    return tuple(parse_array(a, f"{path}[{k}]") for k, a in enumerate(entries))
 
 
 def _echo(entry, context: str) -> Echo:
-    _object(entry, context)
+    _typed(entry, dict, context)
     return Echo(*(_number(entry, key, context) for key in Echo._fields))
 
 
 def parse_scene(config: dict, context: str = "scene config",
                 base_dir=None) -> Scene:
+    """A scene from its JSON config. The sample rate must be one a WAV
+    header can store, since the scene is rendered to WAV files."""
+    _typed(config, dict, context)
     raw_arrays = _require(config, "arrays", context)
     if not isinstance(raw_arrays, list) or not raw_arrays:
         raise SceneConfigError(f"key 'arrays' must be a non-empty list in {context}")
     arrays = tuple(parse_array(a, f"{context}.arrays[{k}]")
                    for k, a in enumerate(raw_arrays))
-    source = _require(config, "source_m", context)
+    source = _point(config, "source_m", context)
     model = _propagation_model(config, context)
-    signal = _object(config.get("signal", {}), f"key 'signal' in {context}")
+    try:
+        wav_sample_rate(model.sample_rate)
+    except ValueError as exc:
+        raise SceneConfigError(
+            f"key 'sample_rate_hz' in {context}: {exc}") from None
+    signal = _typed(config.get("signal", {}), dict, f"key 'signal' in {context}")
     kind = str(signal.get("kind", "speech"))
     source_samples = None
     if kind == "file":
-        wav_path = Path(_require(signal, "path", f"{context}.signal"))
+        wav_path = Path(_require(signal, "path", f"{context}.signal", str))
         if base_dir is not None and not wav_path.is_absolute():
             wav_path = Path(base_dir) / wav_path
-        rec = read_wav(wav_path)
+        try:
+            rec = read_wav(wav_path)
+        except ValueError as exc:
+            raise SceneConfigError(
+                f"key 'path' in {context}.signal: {exc}") from exc
         source_samples = rec.samples.mean(axis=0)  # mono mixdown
-    raw_echoes = config.get("echoes", [])
-    if not isinstance(raw_echoes, list):
-        raise SceneConfigError(f"key 'echoes' must be a list in {context}")
+    raw_echoes = _typed(config.get("echoes", []), list,
+                        f"key 'echoes' in {context}")
     echoes = tuple(_echo(e, f"{context}.echoes[{k}]")
                    for k, e in enumerate(raw_echoes))
     snr_db = math.inf if config.get("snr_db") is None \
@@ -225,18 +282,12 @@ def parse_scene(config: dict, context: str = "scene config",
                      tone_hz=_number(signal, "tone_hz", f"{context}.signal", 1000.0),
                      source_samples=source_samples)
     except ValueError as exc:
-        raise SceneConfigError(f"invalid scene: {exc}") from exc
+        raise SceneConfigError(f"invalid scene in {context}: {exc}") from exc
 
 
 def load_scene(path) -> Scene:
-    with open(path) as fh:
-        try:
-            config = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SceneConfigError(f"not valid JSON: {path}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise SceneConfigError(f"scene config must be a JSON object: {path}")
-    return parse_scene(config, context=str(path), base_dir=Path(path).parent)
+    return parse_scene(_load_json(path), context=str(path),
+                       base_dir=Path(path).parent)
 
 
 def array_to_json(array: MicArray) -> dict:
@@ -281,14 +332,17 @@ def write_scene_outputs(out_dir, scene: Scene,
     return manifest_path
 
 
-def load_manifest(path) -> tuple[list[MicArray], list[Path], PropagationModel, dict]:
-    """Arrays, their WAV paths, the propagation model, and the raw manifest."""
+def load_manifest(path) -> tuple[list[MicArray], list[Path],
+                                 PropagationModel, float | None]:
+    """Arrays, their WAV paths, the propagation model, and the sample rate
+    the manifest declares (None when it declares none)."""
     path = Path(path)
-    with open(path) as fh:
-        manifest = json.load(fh)
-    raw = _require(manifest, "arrays", str(path))
-    arrays = [parse_array(a, f"{path}.arrays[{k}]") for k, a in enumerate(raw)]
-    wavs = [path.parent / _require(a, "wav", f"{path}.arrays[{k}]")
-            for k, a in enumerate(raw)]
-    return arrays, wavs, _propagation_model(manifest, str(path)), manifest
-
+    manifest = _typed(_load_json(path), dict, str(path))
+    arrays, wavs = [], []
+    for k, entry in enumerate(_require(manifest, "arrays", str(path), list)):
+        context = f"{path}.arrays[{k}]"
+        arrays.append(parse_array(entry, context))
+        wavs.append(path.parent / _require(entry, "wav", context, str))
+    model = _propagation_model(manifest, str(path))
+    declared = model.sample_rate if "sample_rate_hz" in manifest else None
+    return arrays, wavs, model, declared

@@ -200,7 +200,8 @@ def solve_ransac(lines: list[BearingLine],
     Each distinct ordered pair is intersected and scored once, in the order
     the seeded draws first reach it: a pair drawn again scores as before,
     and cannot beat a best that already beat or was it, so the draws stop
-    once every ordered pair has come up.
+    once every ordered pair has come up. ``iterations`` on the result is
+    the number of draws made.
     """
     lines = _check_lines(lines)
     if not threshold > 0:
@@ -213,10 +214,11 @@ def solve_ransac(lines: list[BearingLine],
 
     rng = np.random.default_rng(seed)
     drawn = {}  # distinct ordered pairs, in the order first drawn
-    for _ in range(iterations):
+    draws = 0
+    # once every ordered pair has come up, every later draw repeats one
+    while draws < iterations and len(drawn) < len(lines) * (len(lines) - 1):
         drawn.setdefault(tuple(rng.choice(len(lines), size=2, replace=False)))
-        if len(drawn) == len(lines) * (len(lines) - 1):
-            break  # every later draw repeats a pair
+        draws += 1
     i, j = np.array(list(drawn), dtype=int).reshape(-1, 2).T
     # a nearly parallel pair gives no candidate
     keep = np.abs(_cross(stack.directions[i], stack.directions[j])) \
@@ -242,7 +244,7 @@ def solve_ransac(lines: list[BearingLine],
     else:
         position, flag = candidates[best[2]], False
     return _finish(stack, position, "ransac", inliers=inliers.ids,
-                   iterations=iterations, condition_flag=flag)
+                   iterations=draws, condition_flag=flag)
 
 
 def solve_irls(lines: list[BearingLine]) -> LocalizationResult:

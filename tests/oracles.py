@@ -308,8 +308,13 @@ def loop_solve_ransac(lines, threshold, iterations, seed):
                             condition_flag=base["condition_flag"])
     rng = np.random.default_rng(seed)
     best = None
+    seen = set()  # the draws made are those until every ordered pair is seen
+    draws = 0
     for _ in range(iterations):
         i, j = rng.choice(len(lines), size=2, replace=False)
+        if len(seen) < len(lines) * (len(lines) - 1):
+            seen.add((i, j))
+            draws += 1
         a, b = lines[i], lines[j]
         cross = a.direction[0] * b.direction[1] - a.direction[1] * b.direction[0]
         if abs(cross) < RANSAC_PAIR_SIN_TOL:
@@ -337,7 +342,7 @@ def loop_solve_ransac(lines, threshold, iterations, seed):
     return _loop_result(
         lines, position, "ransac",
         inliers=tuple(ln.array_id for ln, m in zip(lines, mask) if m),
-        iterations=iterations, condition_flag=flag)
+        iterations=draws, condition_flag=flag)
 
 
 def loop_solve_irls(lines):

@@ -499,3 +499,106 @@ def test_parser_reused_across_calls(tmp_path):
         assert cli.main(["simulate", str(config),
                          "--out-dir", str(tmp_path / out)]) == 0
         assert (tmp_path / out / "manifest.json").exists()
+
+
+@pytest.fixture(scope="module")
+def rendered(tmp_path_factory):
+    """A rendered scene and an array spec of its A1, shared read-only."""
+    out = simulated_fixture(tmp_path_factory.mktemp("rendered"))
+    spec = out / "a1.json"
+    spec.write_text(json.dumps(
+        {"id": "A1", "center_m": [0.0, 0.0], "orientation_rad": 0.0}))
+    return out
+
+
+def localize_argv(rendered, tmp_path, bad):
+    """``hexloc localize`` on a manifest whose A2 capture is ``bad``."""
+    manifest = json.loads((rendered / "manifest.json").read_text())
+    for entry in manifest["arrays"]:
+        entry["wav"] = str(bad if entry["id"] == "A2"
+                           else rendered / entry["wav"])
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    return ["localize", str(path)]
+
+
+# each file argument: its argv around the path, and whether it is a WAV
+FILE_ARGUMENTS = {
+    "simulate": (lambda r, t, bad: ["simulate", str(bad), "--out-dir",
+                                    str(t / "out")], False),
+    "aoa-wav": (lambda r, t, bad: ["aoa", str(bad), str(r / "a1.json")],
+                True),
+    "aoa-spec": (lambda r, t, bad: ["aoa", str(r / "A1.wav"), str(bad)],
+                 False),
+    "localize-manifest": (lambda r, t, bad: ["localize", str(bad)], False),
+    "localize-wav": (localize_argv, True),
+    "eval-arrays": (lambda r, t, bad: ["eval", "--trials", "1", "--arrays",
+                                       str(bad), "--out-dir", str(t / "e")],
+                    False),
+}
+
+
+def write_bad_input(path, kind, is_wav, argument):
+    """A path of the given kind of bad input; returns the exit code due."""
+    if kind == "missing":
+        return cli.EXIT_IO
+    if kind == "directory":
+        path.mkdir()
+        return cli.EXIT_IO
+    if kind == "garbled":
+        if is_wav:
+            write_bad_wav(path, "corrupt")
+        else:
+            path.write_text("{not JSON")
+    elif argument == "eval-arrays":  # a list is due: give it one spec
+        path.write_text(json.dumps(
+            {"id": "A1", "center_m": [0.0, 0.0], "orientation_rad": 0.0}))
+    else:  # an object is due; a WAV file holds no JSON at all
+        path.write_text("5")
+    return cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "garbled",
+                                  "wrong-type"])
+@pytest.mark.parametrize("argument", list(FILE_ARGUMENTS))
+def test_bad_file_argument_exit_code_names_the_path(rendered, tmp_path,
+                                                    capsys, argument, kind):
+    argv_of, is_wav = FILE_ARGUMENTS[argument]
+    bad = tmp_path / "input"
+    want = write_bad_input(bad, kind, is_wav, argument)
+    assert cli.main(argv_of(rendered, tmp_path, bad)) == want
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    if kind == "wrong-type" and not is_wav:
+        due = "list" if argument == "eval-arrays" else "object"
+        assert f"must be a JSON {due}" in err
+
+
+@pytest.mark.parametrize("command, edit, key", [
+    ("localize", lambda m: m.update(arrays=5), "arrays"),
+    ("localize", lambda m: m["arrays"][0].update(wav=5), "wav"),
+    ("localize", lambda m: m["arrays"][0].update(center_m={"x": 0.0}),
+     "center_m"),
+    ("simulate", lambda m: m.update(source_m={"x": 1.0}), "source_m"),
+    ("simulate", lambda m: m["arrays"][0].update(center_m={"x": 0.0}),
+     "center_m"),
+    ("aoa", lambda m: m.update(center_m={"x": 0.0}), "center_m"),
+], ids=["arrays-number", "wav-number", "manifest-center-object",
+        "source-object", "scene-center-object", "spec-center-object"])
+def test_wrong_value_type_exit_2_names_file_and_key(rendered, tmp_path,
+                                                    capsys, command, edit,
+                                                    key):
+    source = {"localize": rendered / "manifest.json",
+              "aoa": rendered / "a1.json",
+              "simulate": scene_config(tmp_path, name="base.json")}[command]
+    config = json.loads(source.read_text())
+    edit(config)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(config))
+    argv = {"localize": ["localize", str(path)],
+            "aoa": ["aoa", str(rendered / "A1.wav"), str(path)],
+            "simulate": ["simulate", str(path), "--out-dir",
+                         str(tmp_path / "out")]}[command]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(path) in err and key in err

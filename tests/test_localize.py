@@ -123,6 +123,16 @@ def test_ransac_all_consistent_all_inliers():
     assert set(result.inliers) == {"L0", "L1", "L2"}
 
 
+def test_ransac_reports_the_draws_made():
+    # three crossing lines give 6 ordered pairs; the draws stop once each
+    # has come up, and a smaller budget is spent in full
+    lines = lines_to_target([(0.0, 0.0), (10.0, 0.0), (5.0, 8.0)], (4.0, 3.0))
+    for seed in range(5):
+        result = solve_ransac(lines, threshold=0.5, iterations=100, seed=seed)
+        assert 6 <= result.iterations < 100
+    assert solve_ransac(lines, threshold=0.5, iterations=3).iterations == 3
+
+
 def test_ransac_deterministic_under_seed():
     target = (2.0, 3.0)
     lines = lines_to_target([(0.0, 0.0), (8.0, 0.0), (0.0, 6.0)], target)
