@@ -11,6 +11,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,22 +76,12 @@ class AoaEstimate:
         return math.degrees(self.azimuth)
 
 
-@dataclass(frozen=True)
-class CovarianceStack:
+class CovarianceStack(NamedTuple):
     """Per-bin spatial covariance matrices from STFT snapshots."""
 
     matrices: np.ndarray      # (num_bins, channels, channels), Hermitian PSD
     frequencies: np.ndarray   # Hz
     snapshot_count: int
-
-    def __post_init__(self):
-        m = np.asarray(self.matrices, dtype=complex)
-        object.__setattr__(self, "matrices", m)
-        object.__setattr__(self, "frequencies", np.asarray(self.frequencies, dtype=float))
-        if m.ndim != 3 or m.shape[1] != m.shape[2]:
-            raise ValueError("matrices must have shape (bins, n, n)")
-        if m.shape[0] != self.frequencies.size:
-            raise ValueError("one frequency per covariance matrix required")
 
 
 def circular_error_deg(a_deg: float, b_deg: float) -> float:
@@ -145,31 +136,23 @@ def estimate_aoa_gcc(delays: DelayVector, array: MicArray,
     its two circular neighbours on the grid. Predictions use global-frame
     element positions, so the returned azimuth is global.
     """
-    if not delays.entries:
-        raise ValueError("delay vector is empty")
     angles_deg = _azimuth_grid(grid_step_deg)
     grid_rad = np.deg2rad(angles_deg)
-
-    pairs = sorted({e.pair for e in delays.entries})
     predicted = np.stack([geometry.predicted_pair_delay(array, p, grid_rad, model)
-                          for p in pairs])          # (P, n_angles)
-    row = {p: k for k, p in enumerate(pairs)}
-    obs = np.array([e.delay for e in delays.entries])
-    rows = np.array([row[e.pair] for e in delays.entries])
+                          for p in delays.pairs])   # (pairs, angles)
+    w = np.maximum(delays.peak_scores, 0.0) if weighted \
+        else np.ones(delays.delays.shape)
+    total = w.sum()
+    w = w / total if total > 0 else np.full(w.shape, 1.0 / w.size)
 
-    if weighted:
-        w = np.array([max(e.peak_score, 0.0) for e in delays.entries])
-        w = w / w.sum() if w.sum() > 0 else np.full(obs.size, 1.0 / obs.size)
-    else:
-        w = np.full(obs.size, 1.0 / obs.size)
-
-    diff = predicted[rows] - obs[:, None]
-    scores = -(w[:, None] * diff * diff).sum(axis=0)
+    diff = predicted - delays.delays[..., None]    # (windows, pairs, angles)
+    # summed over the window-major (window, pair) rows in order
+    scores = -(w[..., None] * diff * diff).reshape(-1, angles_deg.size).sum(axis=0)
 
     azimuth_deg, confidence, ambiguous = _spectrum_peak(angles_deg, scores, refine)
     spectrum = AoaSpectrum(angles_deg=angles_deg, scores=scores,
                            method=method, ambiguous=ambiguous)
-    if all(e.low_confidence for e in delays.entries):
+    if np.all(delays.low_confidence):
         raise AmbiguousEstimateError(
             "every pairwise delay was flagged low-confidence", spectrum=spectrum)
     estimate = AoaEstimate(azimuth=math.radians(azimuth_deg),

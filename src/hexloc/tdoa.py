@@ -13,6 +13,7 @@ subsample correction. A single pair takes this path as a one-row batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +27,7 @@ MIN_WINDOW_SAMPLES = 1024
 DEFAULT_NUM_WINDOWS = 2
 
 
-@dataclass(frozen=True)
-class PairDelay:
+class PairDelay(NamedTuple):
     """One measured delay for an ordered element pair, in seconds.
 
     ``low_confidence`` marks estimates whose quadratic fit was non-concave
@@ -41,27 +41,45 @@ class PairDelay:
     window_index: int = 0
     low_confidence: bool = False
 
-    def __post_init__(self):
-        if not np.isfinite(self.delay) or not np.isfinite(self.peak_score):
-            raise ValueError("delay and peak_score must be finite")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DelayVector:
-    """Stacked pairwise delays for one array across time windows."""
+    """Pairwise delays for one array across time windows: ``delays``,
+    ``peak_scores`` and ``low_confidence`` each hold one row per window and
+    one column per pair of ``pairs``."""
 
-    entries: tuple[PairDelay, ...]
+    pairs: tuple[tuple[int, int], ...]
+    delays: np.ndarray
+    peak_scores: np.ndarray
+    low_confidence: np.ndarray
     source_array: str
-    num_windows: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        seen = set()
-        for e in self.entries:
-            key = (e.pair, e.window_index)
-            if key in seen:
-                raise ValueError(f"duplicate delay entry for {key}")
-            seen.add(key)
+        object.__setattr__(self, "pairs", tuple(map(tuple, self.pairs)))
+        for name in ("delays", "peak_scores", "low_confidence"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+        shape = self.delays.shape[:1] + (len(self.pairs),)
+        if not self.delays.size or not self.delays.shape \
+                == self.peak_scores.shape == self.low_confidence.shape == shape:
+            raise ValueError("delays, peak_scores and low_confidence must each "
+                             f"be a non-empty (windows, {len(self.pairs)}) array")
+        if len(set(self.pairs)) != len(self.pairs):
+            raise ValueError(f"duplicate pairs in {self.pairs}")
+        if not (np.isfinite(self.delays).all()
+                and np.isfinite(self.peak_scores).all()):
+            raise ValueError("delays and peak_scores must be finite")
+
+    @property
+    def num_windows(self) -> int:
+        return self.delays.shape[0]
+
+    @property
+    def entries(self) -> tuple[PairDelay, ...]:
+        """One record per (window, pair), window-major."""
+        rows = zip(self.delays.tolist(), self.peak_scores.tolist(),
+                   self.low_confidence.tolist())
+        return tuple(PairDelay(pair, d, s, w, low) for w, row in enumerate(rows)
+                     for pair, d, s, low in zip(self.pairs, *row))
 
 
 def _parabola_stencils() -> np.ndarray:
@@ -113,7 +131,7 @@ REFINE_MARGIN = 3
 
 
 def _pair_delays(spectra: Spectrum, first: np.ndarray, second: np.ndarray,
-                 max_lags: list[float], upsample_factor: int, refine: bool,
+                 max_lags: np.ndarray, upsample_factor: int, refine: bool,
                  band_hz: tuple[float, float] | None
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(delays, peak scores, concave flags) for every pair of spectrum rows
@@ -176,10 +194,14 @@ def estimate_pair_delay(x1: RealSignal, x2: RealSignal, max_lag: float,
                      low_confidence=not concave)
 
 
-def default_max_lag(array: MicArray, pair: tuple[int, int],
-                    model: PropagationModel) -> float:
-    """Physically feasible lag bound for a pair: baseline / c times slack."""
-    return geometry.pair_baseline(array, pair) / model.speed_of_sound * MAX_LAG_SLACK
+def default_max_lag(array: MicArray, pairs, model: PropagationModel):
+    """Physically feasible lag bound, baseline / c times slack: a float for
+    one pair (i, j), an array of bounds for a list of pairs."""
+    first, second = np.asarray(pairs).T
+    baselines = array.elements[first] - array.elements[second]
+    # vecdot rounds each squared length as geometry.pair_baseline's norm does
+    return np.sqrt(np.vecdot(baselines, baselines)) \
+        / model.speed_of_sound * MAX_LAG_SLACK
 
 
 def expand_delay_features(rec: MultichannelRecording, array: MicArray,
@@ -209,7 +231,6 @@ def expand_delay_features(rec: MultichannelRecording, array: MicArray,
         model = PropagationModel(sample_rate=rec.sample_rate)
 
     pairs = geometry.mic_pairs(array.num_elements)
-    max_lags = [default_max_lag(array, pair, model) for pair in pairs]
     nfft = dsp.correlation_fft_length(window_len)
     # row c * num_windows + w holds window w of channel c
     rows = rec.samples[:, :num_windows * window_len].reshape(-1, window_len)
@@ -220,12 +241,6 @@ def expand_delay_features(rec: MultichannelRecording, array: MicArray,
     delays, scores, concave = _pair_delays(
         dsp.real_spectrum(MultichannelRecording(rows, rec.sample_rate), nfft),
         first * num_windows + windows, second * num_windows + windows,
-        max_lags, upsample_factor, refine, band_hz)
-    entries = tuple(
-        PairDelay(pair=pair, delay=d, peak_score=s, window_index=w,
-                  low_confidence=not ok)
-        for w, (ds, ss, oks) in enumerate(zip(delays.tolist(), scores.tolist(),
-                                              concave.tolist()))
-        for pair, d, s, ok in zip(pairs, ds, ss, oks))
-    return DelayVector(entries=entries, source_array=array.id,
-                       num_windows=num_windows)
+        default_max_lag(array, pairs, model), upsample_factor, refine, band_hz)
+    return DelayVector(pairs=tuple(pairs), delays=delays, peak_scores=scores,
+                       low_confidence=~concave, source_array=array.id)

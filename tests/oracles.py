@@ -235,6 +235,23 @@ def music_scores_loop(matrices, frequencies, taus, loading):
     return accum / matrices.shape[0]
 
 
+def grid_match_scores_loop(entries, array, model, angles_deg, weighted):
+    """Delay-vector grid-match scores ``-sum_e w_e (d_e - p_e(theta))^2``,
+    one ``PairDelay`` entry at a time in the order given, each against its
+    own pair's predicted delays. The weights are the clipped peak scores
+    over their numpy sum, or uniform."""
+    grid = np.deg2rad(angles_deg)
+    weights = [max(e.peak_score, 0.0) if weighted else 1.0 for e in entries]
+    total = np.sum(weights)
+    accum = np.zeros(grid.size)
+    for entry, weight in zip(entries, weights):
+        w = weight / total if total > 0 else 1.0 / len(entries)
+        diff = geometry.predicted_pair_delay(array, entry.pair, grid,
+                                             model) - entry.delay
+        accum = accum + w * diff * diff
+    return -accum
+
+
 def delay_ramp(shift, bin_hz, num_bins):
     """Phase ramp of fractional delays ``shift`` (s) at bins ``k * bin_hz``,
     ``exp(-2 pi i shift k bin_hz)``, one exponential per channel and bin."""

@@ -14,7 +14,7 @@ from hexloc.dsp import MultichannelRecording
 from hexloc.errors import AmbiguousEstimateError, NoSignalError
 from hexloc.geometry import (PropagationModel, build_hex_array,
                              element_delays, mic_pairs, predicted_pair_delay)
-from hexloc.tdoa import DelayVector, PairDelay, expand_delay_features
+from hexloc.tdoa import DelayVector, expand_delay_features
 
 import oracles
 
@@ -73,9 +73,10 @@ def test_gcc_noiseless_plane_wave_within_half_step():
 
 def test_gcc_zero_delays_on_symmetric_array_is_ambiguous():
     array = build_hex_array((0.0, 0.0), 0.0, array_id="A")
-    entries = tuple(PairDelay(pair=p, delay=0.0, peak_score=1.0)
-                    for p in mic_pairs())
-    delays = DelayVector(entries=entries, source_array="A")
+    delays = DelayVector(pairs=mic_pairs(), delays=np.zeros((1, 15)),
+                         peak_scores=np.ones((1, 15)),
+                         low_confidence=np.zeros((1, 15), bool),
+                         source_array="A")
     spectrum, est = estimate_aoa_gcc(delays, array, MODEL)
     assert spectrum.ambiguous
     assert est.confidence == 0.0
@@ -83,9 +84,10 @@ def test_gcc_zero_delays_on_symmetric_array_is_ambiguous():
 
 def test_gcc_all_low_confidence_raises_with_spectrum():
     array = build_hex_array((0.0, 0.0), 0.0, array_id="A")
-    entries = tuple(PairDelay(pair=p, delay=1e-5, peak_score=0.5,
-                              low_confidence=True) for p in mic_pairs())
-    delays = DelayVector(entries=entries, source_array="A")
+    delays = DelayVector(pairs=mic_pairs(), delays=np.full((1, 15), 1e-5),
+                         peak_scores=np.full((1, 15), 0.5),
+                         low_confidence=np.ones((1, 15), bool),
+                         source_array="A")
     with pytest.raises(AmbiguousEstimateError) as exc:
         estimate_aoa_gcc(delays, array, MODEL)
     assert isinstance(exc.value.spectrum, AoaSpectrum)
@@ -94,14 +96,17 @@ def test_gcc_all_low_confidence_raises_with_spectrum():
 def test_gcc_empty_delay_vector_rejected():
     array = build_hex_array((0.0, 0.0), 0.0, array_id="A")
     with pytest.raises(ValueError):
-        estimate_aoa_gcc(DelayVector(entries=(), source_array="A"),
+        estimate_aoa_gcc(DelayVector(pairs=(), delays=np.zeros((1, 0)),
+                                     peak_scores=np.zeros((1, 0)),
+                                     low_confidence=np.zeros((1, 0), bool),
+                                     source_array="A"),
                          array, MODEL)
 
 
 def test_gcc_grid_step_bounds():
     array = build_hex_array((0.0, 0.0), 0.0, array_id="A")
-    entries = (PairDelay(pair=(0, 1), delay=0.0, peak_score=1.0),)
-    delays = DelayVector(entries=entries, source_array="A")
+    delays = DelayVector(pairs=[(0, 1)], delays=[[0.0]], peak_scores=[[1.0]],
+                         low_confidence=[[False]], source_array="A")
     for bad in (0.0, 5.5, -1.0):
         with pytest.raises(ValueError):
             estimate_aoa_gcc(delays, array, MODEL, grid_step_deg=bad)
@@ -164,14 +169,13 @@ def test_gcc_equivariant_under_whole_step_rotation(orientation, source_deg,
                                                    weighted, noise, scores):
     def estimate(array_orientation, azimuth_deg):
         array = build_hex_array((0.0, 0.0), array_orientation, array_id="A")
-        entries = tuple(
-            PairDelay(pair=p, peak_score=score, delay=float(
-                predicted_pair_delay(array, p, math.radians(azimuth_deg),
-                                     MODEL)) + e)
-            for p, e, score in zip(mic_pairs(), noise, scores))
-        return estimate_aoa_gcc(DelayVector(entries=entries, source_array="A"),
-                                array, MODEL, grid_step_deg=grid_step_deg,
-                                weighted=weighted)
+        delays = [float(predicted_pair_delay(array, p, math.radians(
+            azimuth_deg), MODEL)) + e for p, e in zip(mic_pairs(), noise)]
+        vector = DelayVector(pairs=mic_pairs(), delays=[delays],
+                             peak_scores=[scores],
+                             low_confidence=[[False] * 15], source_array="A")
+        return estimate_aoa_gcc(vector, array, MODEL,
+                                grid_step_deg=grid_step_deg, weighted=weighted)
 
     turn_deg = steps * grid_step_deg
     spectrum, est = estimate(orientation, source_deg)
@@ -181,6 +185,31 @@ def test_gcc_equivariant_under_whole_step_rotation(orientation, source_deg,
     assert turned.confidence == pytest.approx(est.confidence, abs=1e-9)
     assert circular_error_deg(turned.azimuth_deg, est.azimuth_deg + turn_deg) \
         <= ROTATION_TOLERANCE_DEG
+
+
+@settings(max_examples=100, deadline=None)
+@given(orientation=st.floats(-math.pi, math.pi),
+       windows=st.integers(1, 4), order=st.permutations(range(15)),
+       weighted=st.booleans(), all_negative=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_gcc_scores_equal_per_entry_loop(orientation, windows, order,
+                                         weighted, all_negative, seed):
+    # one broadcast over (windows, pairs, angles) gives the per-entry loop's
+    # scores bit for bit, whatever the pair order; negative peak scores
+    # weigh nothing, and all-negative ones fall back to uniform weights
+    array = build_hex_array((0.0, 0.0), orientation, array_id="A")
+    rng = np.random.default_rng(seed)
+    shape = (windows, 15)
+    delays = DelayVector(pairs=[mic_pairs()[k] for k in order],
+                         delays=rng.normal(0.0, 1e-4, shape),
+                         peak_scores=rng.uniform(-1.0, 1.0, shape)
+                         - float(all_negative),
+                         low_confidence=np.zeros(shape, bool),
+                         source_array="A")
+    spectrum, _ = estimate_aoa_gcc(delays, array, MODEL, weighted=weighted)
+    want = oracles.grid_match_scores_loop(delays.entries, array, MODEL,
+                                          spectrum.angles_deg, weighted)
+    assert spectrum.scores.tobytes() == want.tobytes()
 
 
 # --- GCC-PHAT baseline --------------------------------------------------------

@@ -9,7 +9,7 @@ from hexloc import dsp, geometry, sim, tdoa
 from hexloc.dsp import MultichannelRecording, RealSignal
 from hexloc.errors import NoSignalError
 from hexloc.geometry import PropagationModel, build_hex_array, mic_pairs
-from hexloc.tdoa import (DelayVector, PairDelay, estimate_pair_delay,
+from hexloc.tdoa import (DelayVector, estimate_pair_delay,
                          expand_delay_features, quadratic_peak_offset)
 
 import oracles
@@ -279,9 +279,10 @@ def test_recording_too_short_rejected():
 
 
 def test_duplicate_entries_rejected():
-    e = PairDelay(pair=(0, 1), delay=0.0, peak_score=1.0, window_index=0)
     with pytest.raises(ValueError):
-        DelayVector(entries=(e, e), source_array="A")
+        DelayVector(pairs=[(0, 1), (0, 1)], delays=np.zeros((1, 2)),
+                    peak_scores=np.ones((1, 2)),
+                    low_confidence=np.zeros((1, 2), bool), source_array="A")
 
 
 def test_windows_equal_single_window_slices():
