@@ -244,6 +244,11 @@ def parse_scene(config: dict, context: str = "scene config",
     arrays = tuple(parse_array(a, f"{context}.arrays[{k}]")
                    for k, a in enumerate(raw_arrays))
     source = _point(config, "source_m", context)
+    for array in arrays:
+        if np.allclose(source, array.center):
+            raise SceneConfigError(
+                f"key 'source_m' in {context}: source coincides with array "
+                f"{array.id!r}")
     model = _propagation_model(config, context)
     try:
         wav_sample_rate(model.sample_rate)
@@ -251,7 +256,11 @@ def parse_scene(config: dict, context: str = "scene config",
         raise SceneConfigError(
             f"key 'sample_rate_hz' in {context}: {exc}") from None
     signal = _typed(config.get("signal", {}), dict, f"key 'signal' in {context}")
-    kind = str(signal.get("kind", "speech"))
+    kind = signal.get("kind", "speech")
+    if kind not in sim.SIGNAL_KINDS:
+        raise SceneConfigError(
+            f"key 'kind' must be one of {', '.join(sim.SIGNAL_KINDS)} in "
+            f"{context}.signal, got {reprlib.repr(kind)}")
     source_samples = None
     if kind == "file":
         wav_path = Path(_require(signal, "path", f"{context}.signal", str))
@@ -269,6 +278,11 @@ def parse_scene(config: dict, context: str = "scene config",
                    for k, e in enumerate(raw_echoes))
     snr_db = math.inf if config.get("snr_db") is None \
         else _number(config, "snr_db", context)
+    duration = _number(config, "duration_s", context, sim.DEFAULT_DURATION_S)
+    if not (math.isfinite(duration) and duration > 0):
+        raise SceneConfigError(
+            f"key 'duration_s' must be a positive number in {context}, "
+            f"got {duration!r}")
     seed = config.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise SceneConfigError(
@@ -276,8 +290,7 @@ def parse_scene(config: dict, context: str = "scene config",
     try:
         return Scene(arrays=arrays, source=np.asarray(source, dtype=float),
                      signal_kind=kind,
-                     duration=_number(config, "duration_s", context,
-                                      sim.DEFAULT_DURATION_S),
+                     duration=duration,
                      snr_db=snr_db, echoes=echoes, seed=seed, model=model,
                      tone_hz=_number(signal, "tone_hz", f"{context}.signal", 1000.0),
                      source_samples=source_samples)

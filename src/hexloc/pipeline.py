@@ -130,14 +130,21 @@ def localize_recordings(recs: list[MultichannelRecording],
                         model: PropagationModel | None = None
                         ) -> tuple[LocalizationResult, list[AoaEstimate]]:
     """Per-array AoA estimation, the arrays concurrently, followed by
-    bearing fusion."""
+    bearing fusion. An array whose spectrum is ambiguous raises
+    AmbiguousEstimateError naming it: its grid angle is not a bearing."""
     if config is None:
         config = PipelineConfig()
     if len(recs) != len(arrays) or len(arrays) < 2:
         raise ValueError("need matching recordings for at least two arrays")
-    estimates = map_tasks(
-        lambda job: estimate_recording_aoa(*job, method, config, model)[1],
+    results = map_tasks(
+        lambda job: estimate_recording_aoa(*job, method, config, model),
         zip(recs, arrays))
+    for array, (spectrum, _) in zip(arrays, results):
+        if spectrum.ambiguous:
+            raise AmbiguousEstimateError(
+                f"no azimuth stands out for array {array.id!r}",
+                spectrum=spectrum)
+    estimates = [estimate for _, estimate in results]
     lines = bearings_from_estimates(arrays, estimates, config)
     return solve_bearings(lines, config), estimates
 
@@ -186,6 +193,9 @@ def run_eval(n_trials: int, bounds: tuple[float, float, float, float],
         config = PipelineConfig()
     if arrays is None:
         arrays = sim.default_array_layout()
+    if len(arrays) < 2:
+        raise ValueError(f"need at least two arrays to localize, got "
+                         f"{len(arrays)}")
     scenes = sim.sample_scenarios(n_trials, bounds, seed=config.seed,
                                   arrays=arrays, snr_db=snr_db, echoes=echoes)
     rows = EvalRows()
@@ -226,11 +236,13 @@ def _estimate_or_none(filtered: MultichannelRecording, array: MicArray,
                       method: AoaMethod, config: PipelineConfig,
                       model: PropagationModel) -> AoaEstimate | None:
     """One method's estimate on a band-passed recording; None where the
-    estimator gives up."""
+    estimator gives up, an ambiguous spectrum included."""
     try:
-        return _estimate_filtered(filtered, array, method, config, model)[1]
+        spectrum, estimate = _estimate_filtered(filtered, array, method,
+                                                config, model)
     except (AmbiguousEstimateError, NoSignalError):
         return None
+    return None if spectrum.ambiguous else estimate
 
 
 def _localization_error(usable: list[tuple[MicArray, AoaEstimate]],

@@ -427,6 +427,29 @@ def test_eval_deterministic_digests(tmp_path):
         assert digest(out1 / name) == digest(out2 / name)
 
 
+def test_eval_single_array_exit_2(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps([{"id": "A1", "center_m": [0.0, 0.0],
+                                 "orientation_rad": 0.0}]))
+    out = tmp_path / "unused"
+    assert cli.main(["eval", "--trials", "1", "--arrays", str(path),
+                     "--out-dir", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "at least two arrays" in err
+    assert not out.exists()
+
+
+def test_localize_ambiguous_array_exit_2(tmp_path, capsys):
+    out = simulated_fixture(tmp_path)
+    flat = hio.read_wav(out / "A2.wav")
+    hio.write_wav(out / "A2.wav", MultichannelRecording(
+        np.full_like(flat.samples, 0.3), flat.sample_rate))
+    assert cli.main(["localize", str(out / "manifest.json")]) \
+        == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'A2'" in err
+
+
 def test_usage_error_exit_2():
     assert cli.main(["aoa"]) == 2
     assert cli.main(["no-such-command"]) == 2

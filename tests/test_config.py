@@ -143,3 +143,15 @@ def test_invalid_json_names_the_file(tmp_path):
         with pytest.raises(SceneConfigError, match="not valid JSON") as info:
             load(path)
         assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("path, value, named", [
+    (("duration_s",), -1.0, "key 'duration_s'"),
+    (("signal", "kind"), None, "key 'kind'"),
+    (("source_m",), [0.0, 0.0], "key 'source_m'"),
+], ids=["duration-negative", "signal-kind-null", "source-on-array"])
+def test_scene_range_error_names_the_key(scene_dir, path, value, named):
+    with pytest.raises(SceneConfigError) as info:
+        hio.parse_scene(substituted(SCENE, path, value), "scene.json",
+                        base_dir=scene_dir)
+    assert "scene.json" in str(info.value) and named in str(info.value)

@@ -409,3 +409,48 @@ def test_eval_give_ups_land_on_their_array_and_method(monkeypatch):
             if r["status"] == "error"] \
         == [(m.value, "A2") for m in pipeline.ALL_METHODS]
     assert all(r["status"] == "ok" for r in got.loc)
+
+
+def constant_a2(recordings):
+    """The recordings with array A2's every channel stuck at 0.3: each
+    method's spectrum is flat there, so its grid angle is no bearing."""
+    recordings = list(recordings)
+    recordings[1] = dsp.MultichannelRecording(
+        np.full_like(recordings[1].samples, 0.3), recordings[1].sample_rate)
+    return recordings
+
+
+@pytest.mark.parametrize("method", list(AoaMethod), ids=lambda m: m.value)
+@pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
+def test_ambiguous_bearing_is_not_fused(method, strict):
+    arrays = sim.default_array_layout()
+    scene = sim.Scene(arrays=arrays, source=(2.5, 2.0), snr_db=20.0, seed=4)
+    recs, _ = sim.synthesize(scene)
+    cfg = PipelineConfig(strict_paper_mode=strict)
+    with pytest.raises(AmbiguousEstimateError, match="'A2'") as info:
+        localize_recordings(constant_a2(recs), list(arrays), method, cfg,
+                            scene.model)
+    assert info.value.spectrum.ambiguous
+
+
+def test_eval_leaves_ambiguous_bearings_out(monkeypatch):
+    original = sim.synthesize
+
+    def synthesize(scene):
+        recordings, truth = original(scene)
+        return constant_a2(recordings), truth
+
+    monkeypatch.setattr(sim, "synthesize", synthesize)
+    rows = run_eval(1, (0.5, 0.5, 5.5, 4.5), PipelineConfig(seed=8),
+                    snr_db=20.0)
+    assert [(r["method"], r["array_id"]) for r in rows.aoa
+            if r["status"] == "error"] \
+        == [(m.value, "A2") for m in pipeline.ALL_METHODS]
+    # the other two bearings still fuse
+    assert all(r["status"] == "ok" for r in rows.loc)
+
+
+def test_eval_requires_two_arrays():
+    with pytest.raises(ValueError, match="at least two arrays"):
+        run_eval(1, (0.5, 0.5, 5.5, 4.5),
+                 arrays=sim.default_array_layout()[:1])

@@ -39,9 +39,17 @@ def test_results_keep_item_order():
 
 
 def test_first_error_raised_after_in_flight_tasks_finish():
+    # item 1 fails only once item 2 has started, so item 2 is in flight,
+    # not cancelled, when the first error comes out
     finished = []
+    item_2_started = threading.Event()
+    waits = []
 
     def task(item):
+        if item == 1:
+            waits.append(item_2_started.wait(TIMEOUT_S))
+        if item == 2:
+            item_2_started.set()
         if item in (1, 3):
             raise ValueError(f"item {item}")
         time.sleep(0.05)
@@ -50,6 +58,7 @@ def test_first_error_raised_after_in_flight_tasks_finish():
 
     with pytest.raises(ValueError, match="item 1"):
         map_tasks(task, range(4))
+    assert waits == [True]
     assert sorted(finished) == [0, 2]
 
 
