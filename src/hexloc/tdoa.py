@@ -194,7 +194,9 @@ def estimate_pair_delay(x1: RealSignal, x2: RealSignal, max_lag: float,
                      low_confidence=not concave)
 
 
-def default_max_lag(array: MicArray, pairs, model: PropagationModel):
+def default_max_lag(array: MicArray,
+                    pairs: tuple[int, int] | list[tuple[int, int]],
+                    model: PropagationModel):
     """Physically feasible lag bound, baseline / c times slack: a float for
     one pair (i, j), an array of bounds for a list of pairs."""
     first, second = np.asarray(pairs).T
