@@ -11,7 +11,7 @@ arrays into a 2D position with least-squares, RANSAC, or IRLS solvers.
 from .aoa import (AoaEstimate, AoaMethod, AoaSpectrum, CovarianceStack,
                   baseline_aoa_gcc_phat, circular_error_deg, covariance_stack,
                   estimate_aoa_gcc, estimate_aoa_music)
-from .dsp import (MultichannelRecording, RealSignal, Spectrum, bandpass,
+from .dsp import (MultichannelRecording, Spectrum, bandpass,
                   bandpass_recording, cross_power, inverse_real_spectrum,
                   phat_weight, real_spectrum)
 from .errors import (AmbiguousEstimateError, NoSignalError, SceneConfigError,

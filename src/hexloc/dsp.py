@@ -9,7 +9,7 @@ microphone 1 first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -44,26 +44,9 @@ def next_fast_len(target: int, real: bool = False) -> int:
 
 
 @dataclass(frozen=True)
-class RealSignal:
-    """A single real-valued channel with its sample rate."""
-
-    samples: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        object.__setattr__(self, "samples", samples)
-        if samples.ndim != 1 or samples.size < 2:
-            raise ValueError("samples must be a 1D sequence of length >= 2")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite")
-        if not self.sample_rate > 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-
-
-@dataclass(frozen=True)
 class MultichannelRecording:
-    """Synchronized sample matrix for one array, shape (channels, samples).
+    """Synchronized sample matrix for one array, shape (channels, samples);
+    a single channel is a one-row recording.
 
     The samples are stored C-contiguous, one channel per row: the row-wise
     transforms downstream are slower over strided rows, such as those of a
@@ -96,31 +79,27 @@ class MultichannelRecording:
 class Spectrum:
     """One-sided spectrum of a real signal of ``origin_length`` samples.
 
-    ``bins`` may carry leading batch axes, shape (..., origin_length // 2 + 1);
-    every row then shares the same layout (bin spacing and origin length).
-    The bins start at bin ``first_bin`` of the one-sided layout (a band's
-    bins, say); every bin they do not cover is zero.
+    ``bins`` may carry leading batch axes; every row then shares the same
+    layout (bin spacing, origin length and first bin). The bins start at bin
+    ``first_bin`` of the one-sided layout (a band's bins, say) and end at or
+    before its last bin, ``origin_length // 2``; every bin they do not cover
+    is zero.
     """
 
     bins: np.ndarray
     bin_spacing: float
     origin_length: int
-    first_bin: int = field(default=0, init=False)
+    first_bin: int = 0
 
     def __post_init__(self):
         bins = np.asarray(self.bins, dtype=complex)
         object.__setattr__(self, "bins", bins)
-        expected = self.origin_length // 2 + 1
-        if bins.ndim < 1 or bins.shape[-1] != expected:
+        last = self.origin_length // 2 + 1
+        if bins.ndim < 1 or not 0 <= self.first_bin <= last - bins.shape[-1]:
             raise ValueError(
-                f"one-sided spectrum of length-{self.origin_length} signal "
-                f"needs {expected} bins, got {bins.shape}")
-        scale = np.maximum(1.0, np.max(np.abs(bins), axis=-1, initial=0.0))
-        if np.any(np.abs(bins[..., 0].imag) > 1e-9 * scale):
-            raise ValueError("DC bin of a real-signal spectrum must be real")
-        if self.origin_length % 2 == 0 \
-                and np.any(np.abs(bins[..., -1].imag) > 1e-9 * scale):
-            raise ValueError("Nyquist bin of a real-signal spectrum must be real")
+                f"bins of shape {bins.shape} from bin {self.first_bin} do not "
+                f"fit the {last} one-sided bins of a length-"
+                f"{self.origin_length} signal")
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -128,35 +107,18 @@ class Spectrum:
 
     def rows(self, index) -> Spectrum:
         """The spectra at ``index`` along the leading batch axis."""
-        return _derived(self.bins[index], self.bin_spacing, self.origin_length,
-                        self.first_bin)
+        return replace(self, bins=self.bins[index])
 
 
-def _derived(bins: np.ndarray, bin_spacing: float, origin_length: int,
-             first_bin: int = 0) -> Spectrum:
-    """A spectrum computed here from valid input, built without the O(n)
-    real-DC/Nyquist re-check: a real signal's spectrum keeps those bins real
-    through every kernel in this module."""
-    out = object.__new__(Spectrum)
-    object.__setattr__(out, "bins", bins)
-    object.__setattr__(out, "bin_spacing", bin_spacing)
-    object.__setattr__(out, "origin_length", origin_length)
-    object.__setattr__(out, "first_bin", first_bin)
-    return out
-
-
-def real_spectrum(signal: RealSignal | MultichannelRecording,
+def real_spectrum(signal: MultichannelRecording,
                   nfft: int | None = None) -> Spectrum:
-    """Forward one-sided FFT of a real signal, optionally zero-padded.
-
-    Works row by row: a recording's (channels, samples) matrix yields a
-    stacked spectrum with one row per channel.
-    """
+    """Forward one-sided FFT of each channel, optionally zero-padded: a
+    stacked spectrum with one row per channel."""
     length = signal.samples.shape[-1]
     n = int(nfft) if nfft is not None else length
     if n < length:
         raise ValueError("nfft must be >= signal length")
-    return _derived(rfft(signal.samples, n=n), signal.sample_rate / n, n)
+    return Spectrum(rfft(signal.samples, n=n), signal.sample_rate / n, n)
 
 
 def inverse_real_spectrum(spectrum: Spectrum) -> np.ndarray:
@@ -167,8 +129,8 @@ def inverse_real_spectrum(spectrum: Spectrum) -> np.ndarray:
     return irfft(bins, n=n)
 
 
-def bandpass(signal: RealSignal | MultichannelRecording, low_hz: float,
-             high_hz: float) -> RealSignal | MultichannelRecording:
+def bandpass(signal: MultichannelRecording, low_hz: float,
+             high_hz: float) -> MultichannelRecording:
     """Linear-phase FIR band-pass, then gain normalization by the input peak.
 
     The filter is a Kaiser windowed-sinc designed for >= 60 dB stopband
@@ -178,7 +140,7 @@ def bandpass(signal: RealSignal | MultichannelRecording, low_hz: float,
     output is scaled so the input peak maps to unit amplitude, equalizing
     per-device gain without masking stopband attenuation.
 
-    A recording is filtered row by row with one filter design, each channel
+    The channels are filtered row by row with one filter design, each
     normalized by its own peak; an all-zero channel stays zero.
     """
     fs = signal.sample_rate
@@ -195,7 +157,7 @@ def bandpass(signal: RealSignal | MultichannelRecording, low_hz: float,
     # fftconvolve(mode="same") computes, at the same transform length
     filtered = irfft(rfft(x, size, axis=-1) * response, size,
                      axis=-1)[..., start:start + n]
-    return type(signal)(filtered / np.where(peak > 0.0, peak, 1.0), fs)
+    return MultichannelRecording(filtered / np.where(peak > 0.0, peak, 1.0), fs)
 
 
 @lru_cache(maxsize=8)
@@ -286,7 +248,7 @@ def cross_power(a: Spectrum, b: Spectrum) -> Spectrum:
     # batch size (numpy reuses large temporaries in place, operands swapped)
     bins = np.conj(b.bins)
     bins *= a.bins
-    return _derived(bins, a.bin_spacing, a.origin_length, a.first_bin)
+    return replace(a, bins=bins)
 
 
 def phat_weight(g: Spectrum) -> Spectrum:
@@ -299,7 +261,7 @@ def phat_weight(g: Spectrum) -> Spectrum:
     peak = np.max(mag, axis=-1, keepdims=True, initial=0.0)
     # an all-zero row divides by 1 and stays zero
     np.maximum(mag, np.where(peak > 0.0, PHAT_EPSILON * peak, 1.0), out=mag)
-    return _derived(g.bins / mag, g.bin_spacing, g.origin_length, g.first_bin)
+    return replace(g, bins=g.bins / mag)
 
 
 def band_limit(spectrum: Spectrum, low_hz: float, high_hz: float) -> Spectrum:
@@ -321,8 +283,8 @@ def band_limit(spectrum: Spectrum, low_hz: float, high_hz: float) -> Spectrum:
     freqs = spectrum.frequencies
     lo = int(np.searchsorted(freqs, low_hz, side="left"))
     hi = int(np.searchsorted(freqs, high_hz, side="right"))
-    return _derived(spectrum.bins[..., lo:hi].copy(), spectrum.bin_spacing,
-                    spectrum.origin_length, spectrum.first_bin + lo)
+    return replace(spectrum, bins=spectrum.bins[..., lo:hi].copy(),
+                   first_bin=spectrum.first_bin + lo)
 
 
 def correlation_support_steps(origin_length: int, upsample_factor: int) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dsp, geometry
 from ._tasks import map_tasks
-from .dsp import MultichannelRecording, RealSignal
+from .dsp import MultichannelRecording
 from .geometry import MicArray, PropagationModel
 
 SIGNAL_KINDS = ("speech", "chirp", "tone", "file")
@@ -97,8 +97,8 @@ def _source_signal(scene: Scene, rng: np.random.Generator,
     kind = scene.signal_kind
     if kind == "speech":
         # band-limited noise with a syllabic amplitude envelope
-        noise = rng.standard_normal(length)
-        shaped = dsp.bandpass(RealSignal(noise, fs), *dsp.DEFAULT_BAND_HZ).samples
+        noise = MultichannelRecording(rng.standard_normal((1, length)), fs)
+        shaped = dsp.bandpass(noise, *dsp.DEFAULT_BAND_HZ).samples[0]
         phase = rng.uniform(0.0, 2.0 * math.pi)
         envelope = 0.6 + 0.4 * np.sin(2.0 * math.pi * SYLLABIC_RATE_HZ * t + phase)
         return shaped * envelope

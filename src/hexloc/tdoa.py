@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dsp, geometry
-from .dsp import MultichannelRecording, RealSignal, Spectrum
+from .dsp import MultichannelRecording, Spectrum
 from .errors import NoSignalError
 from .geometry import MicArray, PropagationModel
 
@@ -168,11 +168,12 @@ def _pair_delays(spectra: Spectrum, first: np.ndarray, second: np.ndarray,
     return (peak - shared + offset) * lag_spacing, score, concave
 
 
-def estimate_pair_delay(x1: RealSignal, x2: RealSignal, max_lag: float,
+def estimate_pair_delay(rec: MultichannelRecording, max_lag: float,
                         upsample_factor: int = dsp.DEFAULT_UPSAMPLE,
                         refine: bool = True,
                         band_hz: tuple[float, float] | None = None) -> PairDelay:
-    """Estimate the delay of channel 2 relative to channel 1 (seconds).
+    """Estimate the delay of a two-channel recording's channel 2 relative
+    to its channel 1 (seconds).
 
     Positive delay means channel 1 leads. The search is restricted to
     |lag| <= max_lag; choose max_lag from the pair baseline
@@ -180,16 +181,14 @@ def estimate_pair_delay(x1: RealSignal, x2: RealSignal, max_lag: float,
     band-limited content so whitening ignores empty bins. The result is
     labelled pair (0, 1), window 0.
     """
-    if x1.samples.size != x2.samples.size or x1.sample_rate != x2.sample_rate:
-        raise ValueError("signals must share length and sample rate")
+    if rec.num_channels != 2:
+        raise ValueError(f"need a two-channel recording, got {rec.num_channels}")
     if not max_lag > 0:
         raise ValueError(f"max_lag must be positive, got {max_lag}")
-    nfft = dsp.correlation_fft_length(x1.samples.size)
+    nfft = dsp.correlation_fft_length(rec.num_samples)
     [[delay]], [[score]], [[concave]] = _pair_delays(
-        dsp.real_spectrum(MultichannelRecording(
-            np.stack([x1.samples, x2.samples]), x1.sample_rate), nfft),
-        np.array([[0]]), np.array([[1]]), [max_lag], upsample_factor, refine,
-        band_hz)
+        dsp.real_spectrum(rec, nfft), np.array([[0]]), np.array([[1]]),
+        [max_lag], upsample_factor, refine, band_hz)
     return PairDelay(pair=(0, 1), delay=float(delay), peak_score=float(score),
                      low_confidence=not concave)
 

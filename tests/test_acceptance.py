@@ -13,7 +13,7 @@ import pytest
 
 from hexloc import dsp, geometry, pipeline, sim, tdoa
 from hexloc.aoa import AoaMethod
-from hexloc.dsp import RealSignal
+from hexloc.dsp import MultichannelRecording
 from hexloc.errors import UnlocalizableError
 from hexloc.geometry import PropagationModel, build_hex_array
 from hexloc.localize import (BearingLine, solve_irls, solve_mle, solve_ransac)
@@ -44,7 +44,7 @@ def test_criterion_1_oracle_equivalence():
         x1, x2 = sliced_pair(4096, k, seed=2000 + trial)
         oracle_lag = oracles.brute_force_delay_samples(x1, x2, 20)
         est = tdoa.estimate_pair_delay(
-            RealSignal(x1, FS), RealSignal(x2, FS),
+            MultichannelRecording(np.stack([x1, x2]), FS),
             max_lag=20.5 / FS, upsample_factor=1, refine=False)
         assert round(est.delay * FS) == oracle_lag == k
     elapsed = time.time() - start
@@ -59,10 +59,10 @@ def test_criterion_2_subsample_precision():
     for trial in range(200):
         d = float(rng.uniform(-5.0, 5.0))
         x1, x2 = fractional_pair(8192, d, seed=3000 + trial, snr_db=20.0)
-        s1, s2 = RealSignal(x1, FS), RealSignal(x2, FS)
-        fine = tdoa.estimate_pair_delay(s1, s2, max_lag=10.0 / FS,
+        rec = MultichannelRecording(np.stack([x1, x2]), FS)
+        fine = tdoa.estimate_pair_delay(rec, max_lag=10.0 / FS,
                                         upsample_factor=8, refine=True)
-        coarse = tdoa.estimate_pair_delay(s1, s2, max_lag=10.0 / FS,
+        coarse = tdoa.estimate_pair_delay(rec, max_lag=10.0 / FS,
                                           upsample_factor=1, refine=False)
         refined_errors.append(abs(fine.delay * FS - d))
         coarse_errors.append(abs(coarse.delay * FS - d))
@@ -206,10 +206,11 @@ def test_criterion_7_invariant_bundle():
     # dsp: PHAT idempotence and round trip
     rng = np.random.default_rng(1007)
     x = rng.standard_normal(1024)
-    spec = dsp.real_spectrum(RealSignal(x, FS))
-    np.testing.assert_allclose(dsp.inverse_real_spectrum(spec), x, atol=1e-9)
+    spec = dsp.real_spectrum(MultichannelRecording(x[None], FS))
+    np.testing.assert_allclose(dsp.inverse_real_spectrum(spec), x[None],
+                               atol=1e-9)
     g = dsp.cross_power(spec, dsp.real_spectrum(
-        RealSignal(rng.standard_normal(1024), FS)))
+        MultichannelRecording(rng.standard_normal((1, 1024)), FS)))
     once = dsp.phat_weight(g)
     np.testing.assert_allclose(dsp.phat_weight(once).bins, once.bins,
                                atol=1e-12)

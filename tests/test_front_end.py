@@ -10,7 +10,7 @@ from hypothesis import event, example, given, settings, strategies as st
 
 import oracles
 from hexloc import dsp, sim, tdoa
-from hexloc.dsp import MultichannelRecording, RealSignal
+from hexloc.dsp import MultichannelRecording
 from hexloc.geometry import PropagationModel, build_hex_array, mic_pairs
 
 FS = 44100.0
@@ -56,7 +56,8 @@ def assert_rows_equal(stacked, rows):
 def test_stacked_kernels_equal_row_calls(x, pad, gated):
     nfft = x.shape[1] + pad
     stacked = dsp.real_spectrum(MultichannelRecording(x, FS), nfft)
-    singles = [dsp.real_spectrum(RealSignal(row, FS), nfft) for row in x]
+    singles = [dsp.real_spectrum(MultichannelRecording(row[None], FS),
+                                 nfft).rows(0) for row in x]
     assert_rows_equal(stacked, singles)
 
     pairs = mic_pairs(x.shape[0])
@@ -144,7 +145,7 @@ def test_pair_delay_is_the_expansion_entry():
     for entry in expanded.entries:
         i, j = entry.pair
         single = tdoa.estimate_pair_delay(
-            RealSignal(rec.samples[i], FS), RealSignal(rec.samples[j], FS),
+            MultichannelRecording(rec.samples[[i, j]], FS),
             tdoa.default_max_lag(array, entry.pair, model),
             upsample_factor=up, band_hz=BAND)
         assert single.window_index == entry.window_index == 0

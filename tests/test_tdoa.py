@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hexloc import dsp, geometry, sim, tdoa
-from hexloc.dsp import MultichannelRecording, RealSignal
+from hexloc.dsp import MultichannelRecording
 from hexloc.errors import NoSignalError
 from hexloc.geometry import PropagationModel, build_hex_array, mic_pairs
 from hexloc.tdoa import (DelayVector, estimate_pair_delay,
@@ -21,6 +21,11 @@ MODEL = PropagationModel()
 
 def white(n, seed=0):
     return np.random.default_rng(seed).standard_normal(n)
+
+
+def pair(x1, x2):
+    """The 1-D signals ``x1`` and ``x2`` as one two-channel recording."""
+    return MultichannelRecording(np.stack([x1, x2]), FS)
 
 
 # --- peak refinement ------------------------------------------------------
@@ -132,7 +137,7 @@ def test_integer_delay_matches_bruteforce_oracle():
     x1, x2 = delayed_pair(8192, 10, seed=1)
     oracle = oracles.brute_force_delay_samples(x1, x2, 20)
     assert oracle == 10
-    est = estimate_pair_delay(RealSignal(x1, FS), RealSignal(x2, FS),
+    est = estimate_pair_delay(pair(x1, x2),
                               max_lag=20.5 / FS, upsample_factor=32)
     assert est.delay == pytest.approx(10.0 / FS, abs=1e-9)
     assert not est.low_confidence
@@ -140,39 +145,37 @@ def test_integer_delay_matches_bruteforce_oracle():
 
 def test_identical_signals_zero_delay():
     x = white(4096, seed=2)
-    est = estimate_pair_delay(RealSignal(x, FS), RealSignal(x, FS),
+    est = estimate_pair_delay(pair(x, x),
                               max_lag=10.0 / FS, upsample_factor=32)
     assert est.delay == pytest.approx(0.0, abs=1e-9)
 
 
 def test_fractional_delay_under_noise():
     x1, x2 = fractional_pair(16384, 3.4, seed=3, snr_db=30.0)
-    est = estimate_pair_delay(RealSignal(x1, FS), RealSignal(x2, FS),
+    est = estimate_pair_delay(pair(x1, x2),
                               max_lag=10.0 / FS, upsample_factor=8)
     assert abs(est.delay * FS - 3.4) < 0.1
 
 
 def test_zero_signal_raises():
-    z = RealSignal(np.zeros(4096), FS)
-    x = RealSignal(white(4096), FS)
     with pytest.raises(NoSignalError):
-        estimate_pair_delay(z, x, max_lag=10.0 / FS)
+        estimate_pair_delay(pair(np.zeros(4096), white(4096)),
+                            max_lag=10.0 / FS)
 
 
 def test_max_lag_beyond_support_rejected():
-    x = RealSignal(white(2048, seed=4), FS)
-    y = RealSignal(white(2048, seed=5), FS)
+    rec = pair(white(2048, seed=4), white(2048, seed=5))
     with pytest.raises(ValueError):
-        estimate_pair_delay(x, y, max_lag=10.0)  # 10 s >> support
+        estimate_pair_delay(rec, max_lag=10.0)  # 10 s >> support
 
 
 def test_mismatched_inputs_rejected():
-    x = RealSignal(white(2048), FS)
-    y = RealSignal(white(1024), FS)
-    with pytest.raises(ValueError):
-        estimate_pair_delay(x, y, max_lag=1e-3)
-    with pytest.raises(ValueError):
-        estimate_pair_delay(x, RealSignal(white(2048), 16000.0), max_lag=1e-3)
+    # one recording shares one length and rate; it must hold two channels
+    for channels in (1, 3):
+        rec = MultichannelRecording(white(2048 * channels).reshape(channels, -1),
+                                    FS)
+        with pytest.raises(ValueError):
+            estimate_pair_delay(rec, max_lag=1e-3)
 
 
 @settings(max_examples=25, deadline=None)
@@ -180,9 +183,9 @@ def test_mismatched_inputs_rejected():
 @example(delay=2.7, seed=6)
 def test_antisymmetry_under_channel_swap(delay, seed):
     x1, x2 = fractional_pair(8192, delay, seed=seed)
-    fwd = estimate_pair_delay(RealSignal(x1, FS), RealSignal(x2, FS),
+    fwd = estimate_pair_delay(pair(x1, x2),
                               max_lag=10.0 / FS, upsample_factor=8)
-    rev = estimate_pair_delay(RealSignal(x2, FS), RealSignal(x1, FS),
+    rev = estimate_pair_delay(pair(x2, x1),
                               max_lag=10.0 / FS, upsample_factor=8)
     fine_step = 1.0 / (FS * 8)
     assert abs(fwd.delay + rev.delay) <= fine_step + 1e-12
@@ -194,10 +197,10 @@ def test_subsample_gain_over_integer_grid():
     for trial in range(20):
         d = rng.uniform(-4.0, 4.0)
         x1, x2 = fractional_pair(8192, d, seed=100 + trial, snr_db=20.0)
-        s1, s2 = RealSignal(x1, FS), RealSignal(x2, FS)
-        fine = estimate_pair_delay(s1, s2, max_lag=10.0 / FS,
+        rec = pair(x1, x2)
+        fine = estimate_pair_delay(rec, max_lag=10.0 / FS,
                                    upsample_factor=8, refine=True)
-        coarse = estimate_pair_delay(s1, s2, max_lag=10.0 / FS,
+        coarse = estimate_pair_delay(rec, max_lag=10.0 / FS,
                                      upsample_factor=1, refine=False)
         errors_refined.append(abs(fine.delay * FS - d))
         errors_coarse.append(abs(coarse.delay * FS - d))
