@@ -154,7 +154,8 @@ def estimate_aoa_gcc(delays: DelayVector, array: MicArray,
                            method=method, ambiguous=ambiguous)
     if np.all(delays.low_confidence):
         raise AmbiguousEstimateError(
-            "every pairwise delay was flagged low-confidence", spectrum=spectrum)
+            f"every pairwise delay of array {delays.source_array!r} was "
+            "flagged low-confidence", spectrum=spectrum)
     estimate = AoaEstimate(azimuth=math.radians(azimuth_deg),
                            confidence=confidence, method=method,
                            array_id=delays.source_array)

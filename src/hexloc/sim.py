@@ -69,10 +69,20 @@ class Scene:
             raise ValueError(f"duration must be positive, got {self.duration}")
         if self.signal_kind not in SIGNAL_KINDS:
             raise ValueError(f"unknown signal_kind {self.signal_kind!r}")
+        nyquist = self.model.sample_rate / 2.0
+        if self.signal_kind == "tone" and not 0.0 < self.tone_hz < nyquist:
+            raise ValueError(f"tone_hz must be above 0 and below Nyquist "
+                             f"({nyquist} Hz), got {self.tone_hz}")
+        # +inf means noiseless; NaN and -inf are no noise level
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ValueError(f"snr_db must be a number or +inf, got {self.snr_db}")
         for arr in self.arrays:
             if np.allclose(self.source, arr.center):
                 raise ValueError(f"source coincides with array {arr.id!r}")
-        for echo in self.echoes:
+        for k, echo in enumerate(self.echoes):
+            if not math.isfinite(echo.azimuth_offset_deg):
+                raise ValueError(f"echoes[{k}].azimuth_offset_deg must be "
+                                 f"finite, got {echo.azimuth_offset_deg}")
             if not 0.0 <= echo.gain < 1.0:
                 raise ValueError(f"echo gain must be in [0, 1), got {echo.gain}")
             if not 0.0 <= echo.delay_s <= MAX_ECHO_DELAY_S:
@@ -107,9 +117,6 @@ def _source_signal(scene: Scene, rng: np.random.Generator,
         duration = length / fs
         return np.sin(2.0 * math.pi * (f0 * t + (f1 - f0) / (2 * duration) * t * t))
     if kind == "tone":
-        if scene.tone_hz >= fs / 2.0:
-            raise ValueError(
-                f"tone at {scene.tone_hz} Hz violates Nyquist ({fs / 2} Hz)")
         return np.sin(2.0 * math.pi * scene.tone_hz * t)
     if kind == "file":
         if scene.source_samples is None:

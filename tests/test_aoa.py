@@ -83,14 +83,15 @@ def test_gcc_zero_delays_on_symmetric_array_is_ambiguous():
 
 
 def test_gcc_all_low_confidence_raises_with_spectrum():
-    array = build_hex_array((0.0, 0.0), 0.0, array_id="A")
+    array = build_hex_array((0.0, 0.0), 0.0, array_id="north")
     delays = DelayVector(pairs=mic_pairs(), delays=np.full((1, 15), 1e-5),
                          peak_scores=np.full((1, 15), 0.5),
                          low_confidence=np.ones((1, 15), bool),
-                         source_array="A")
+                         source_array="north")
     with pytest.raises(AmbiguousEstimateError) as exc:
         estimate_aoa_gcc(delays, array, MODEL)
     assert isinstance(exc.value.spectrum, AoaSpectrum)
+    assert "'north'" in str(exc.value)
 
 
 def test_gcc_empty_delay_vector_rejected():

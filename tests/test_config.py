@@ -4,6 +4,7 @@ SceneConfigError naming the file and key, never a stray TypeError."""
 
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -149,7 +150,15 @@ def test_invalid_json_names_the_file(tmp_path):
     (("duration_s",), -1.0, "key 'duration_s'"),
     (("signal", "kind"), None, "key 'kind'"),
     (("source_m",), [0.0, 0.0], "key 'source_m'"),
-], ids=["duration-negative", "signal-kind-null", "source-on-array"])
+    (("signal",), {"kind": "tone", "tone_hz": 0.0}, "tone_hz"),
+    (("signal",), {"kind": "tone", "tone_hz": float("nan")}, "tone_hz"),
+    (("signal",), {"kind": "tone", "tone_hz": 8000.0}, "tone_hz"),
+    (("snr_db",), float("nan"), "snr_db"),
+    (("snr_db",), -math.inf, "snr_db"),
+    (("echoes", 0, "azimuth_offset_deg"), float("nan"), "azimuth_offset_deg"),
+], ids=["duration-negative", "signal-kind-null", "source-on-array",
+        "tone-zero", "tone-nan", "tone-at-nyquist", "snr-nan", "snr-minus-inf",
+        "echo-azimuth-nan"])
 def test_scene_range_error_names_the_key(scene_dir, path, value, named):
     with pytest.raises(SceneConfigError) as info:
         hio.parse_scene(substituted(SCENE, path, value), "scene.json",

@@ -57,6 +57,19 @@ def test_spectrum_bin_count_enforced():
                  origin_length=16)
 
 
+def test_spectrum_layout_checked_from_first_bin():
+    # 5 bins of a length-16 signal's 9 fit from bin 0 to bin 4, not later,
+    # and never from a negative bin
+    bins = np.ones(5, dtype=complex)
+    for first_bin in (0, 4):
+        assert Spectrum(bins, 1.0, 16, first_bin).first_bin == first_bin
+    for first_bin in (5, -1):
+        with pytest.raises(ValueError):
+            Spectrum(bins, 1.0, 16, first_bin)
+    with pytest.raises(ValueError):
+        Spectrum(np.complex128(1.0), 1.0, 16)  # no bin axis
+
+
 # --- forward/inverse round trip ------------------------------------------
 
 @pytest.mark.parametrize("n", [256, 255])

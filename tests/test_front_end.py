@@ -1,8 +1,11 @@
-"""The channel-matrix front end: stacked spectral kernels agree with their
-one-row calls, the windowed and batched correlation agree with the full
-single one and with a direct inverse DFT, the pair chain on the band's bins
-agrees with the full-layout one, and a lone pair delay agrees with the
-all-pairs expansion."""
+"""The channel-matrix front end: stacked spectral kernels and the band-pass
+agree with their one-row calls, every kernel keeps the spectrum layout, the
+windowed and batched correlation agree with the full single one and with a
+direct inverse DFT, the pair chain on the band's bins agrees with the
+full-layout one, and a lone pair delay agrees with the all-pairs
+expansion."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -70,6 +73,19 @@ def test_stacked_kernels_equal_row_calls(x, pad, gated):
         g_rows = [dsp.band_limit(r, *BAND) for r in g_rows]
         assert_rows_equal(g, g_rows)
     assert_rows_equal(dsp.phat_weight(g), [dsp.phat_weight(r) for r in g_rows])
+
+
+@PROPERTY
+@given(x=channel_matrix())
+# a long recording: the filter's transform temporaries are large enough for
+# numpy to reuse them in place
+@example(x=np.random.default_rng(11).standard_normal((3, 46746)))
+def test_stacked_bandpass_equals_row_calls(x):
+    # the simulator shapes its speech source as a one-row recording
+    stacked = dsp.bandpass(MultichannelRecording(x, FS), *BAND).samples
+    for got, row in zip(stacked, x):
+        want = dsp.bandpass(MultichannelRecording(row[None], FS), *BAND)
+        assert got.tobytes() == want.samples[0].tobytes()
 
 
 @PROPERTY
@@ -278,3 +294,40 @@ def test_cross_power_rejects_mismatched_extents():
     assert shifted.first_bin != trimmed.first_bin
     with pytest.raises(ValueError):
         dsp.cross_power(trimmed, shifted)  # same width, different first bin
+
+
+def assert_layout(spectrum, bin_spacing, origin_length, first_bin):
+    assert (spectrum.bin_spacing, spectrum.origin_length, spectrum.first_bin) \
+        == (bin_spacing, origin_length, first_bin)
+    assert spectrum.bins.ndim >= 1 and spectrum.first_bin >= 0
+    assert spectrum.first_bin + spectrum.bins.shape[-1] \
+        <= spectrum.origin_length // 2 + 1
+    dataclasses.replace(spectrum)  # the one constructor accepts it
+
+
+@PROPERTY
+@given(x=channel_matrix(), pad=st.integers(0, 64), band_hz=band())
+@example(x=np.random.default_rng(12).standard_normal((2, 64)), pad=0,
+         band_hz=(3500.0, FS / 2.0))
+def test_kernels_keep_the_spectrum_layout(x, pad, band_hz):
+    nfft = x.shape[1] + pad
+    layout = (FS / nfft, nfft)
+    spectra = dsp.real_spectrum(MultichannelRecording(x, FS), nfft)
+    assert spectra.bins.shape == (x.shape[0], nfft // 2 + 1)
+    assert_layout(spectra, *layout, 0)
+    gated = dsp.band_limit(spectra, *band_hz)
+    assert_layout(gated, *layout, gated.first_bin)
+    # first_bin places the band's bins in the one-sided layout
+    np.testing.assert_array_equal(zero_filled(gated)[..., gated.first_bin:],
+                                  spectra.bins[..., gated.first_bin:]
+                                  * (spectra.frequencies[gated.first_bin:]
+                                     <= band_hz[1]))
+    for spectrum in (spectra, gated):
+        g = dsp.cross_power(spectrum.rows(slice(1, None)),
+                            spectrum.rows(slice(None, -1)))
+        for out in (spectrum.rows(0), spectrum.rows([0, -1]), g,
+                    dsp.phat_weight(g)):
+            assert_layout(out, *layout, spectrum.first_bin)
+        # gating a gated spectrum again keeps its band
+        assert_layout(dsp.band_limit(spectrum, *band_hz), *layout,
+                      gated.first_bin)

@@ -105,6 +105,11 @@ def test_tone_nyquist_violation():
         synthesize(one_array_scene(signal_kind="tone", tone_hz=30000.0))
 
 
+def test_tone_hz_is_checked_for_tones_only():
+    # a speech scene renders no tone, so its tone_hz is not refused
+    assert one_array_scene(tone_hz=0.0).tone_hz == 0.0
+
+
 def test_echo_delay_budget_enforced():
     with pytest.raises(ValueError):
         one_array_scene(echoes=(Echo(0.5, 0.4, 30.0),))
