@@ -83,21 +83,17 @@ def cmd_simulate(args) -> int:
 def cmd_aoa(args) -> int:
     rec = hio.read_wav(args.wav)
     array = hio.load_array_spec(args.array_spec)
-    if rec.num_channels != array.num_elements:
-        raise ValueError(f"WAV has {rec.num_channels} channels, expected "
-                         f"{array.num_elements} for array {array.id!r}")
     try:
         spectrum, estimate = pipeline.estimate_recording_aoa(
             rec, array, AoaMethod(args.method), args.config)
     except AmbiguousEstimateError as exc:
-        if exc.spectrum is not None and args.spectrum_csv:
+        if args.spectrum_csv:
             Path(args.spectrum_csv).write_text(
                 pipeline.spectrum_to_csv(exc.spectrum))
         raise
     print(f"array={array.id} method={estimate.method.value} "
           f"azimuth_deg={estimate.azimuth_deg:.3f} "
-          f"confidence={estimate.confidence:.4f} "
-          f"ambiguous={spectrum.ambiguous}")
+          f"confidence={estimate.confidence:.4f}")
     if args.spectrum_csv:
         Path(args.spectrum_csv).write_text(pipeline.spectrum_to_csv(spectrum))
     return EXIT_OK
@@ -105,8 +101,6 @@ def cmd_aoa(args) -> int:
 
 def cmd_localize(args) -> int:
     arrays, wav_paths, model, declared_rate = hio.load_manifest(args.manifest)
-    if len(arrays) < 2:
-        raise ValueError("manifest must reference at least two arrays")
     recs = [hio.read_wav(path) for path in wav_paths]
     if declared_rate is not None:
         for path, rec in zip(wav_paths, recs):

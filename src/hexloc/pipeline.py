@@ -73,7 +73,8 @@ def estimate_recording_aoa(rec: MultichannelRecording, array: MicArray,
                            config: PipelineConfig | None = None,
                            model: PropagationModel | None = None
                            ) -> tuple[AoaSpectrum, AoaEstimate]:
-    """Band-pass a recording and run the chosen azimuth estimator."""
+    """Band-pass a recording and run the chosen azimuth estimator; an
+    ambiguous spectrum raises AmbiguousEstimateError naming the array."""
     if config is None:
         config = PipelineConfig()
     if model is None:
@@ -130,21 +131,15 @@ def localize_recordings(recs: list[MultichannelRecording],
                         model: PropagationModel | None = None
                         ) -> tuple[LocalizationResult, list[AoaEstimate]]:
     """Per-array AoA estimation, the arrays concurrently, followed by
-    bearing fusion. An array whose spectrum is ambiguous raises
-    AmbiguousEstimateError naming it: its grid angle is not a bearing."""
+    bearing fusion. The first array, in order, whose estimator gives up
+    raises its error, AmbiguousEstimateError naming the array included."""
     if config is None:
         config = PipelineConfig()
     if len(recs) != len(arrays) or len(arrays) < 2:
         raise ValueError("need matching recordings for at least two arrays")
-    results = map_tasks(
-        lambda job: estimate_recording_aoa(*job, method, config, model),
+    estimates = map_tasks(
+        lambda job: estimate_recording_aoa(*job, method, config, model)[1],
         zip(recs, arrays))
-    for array, (spectrum, _) in zip(arrays, results):
-        if spectrum.ambiguous:
-            raise AmbiguousEstimateError(
-                f"no azimuth stands out for array {array.id!r}",
-                spectrum=spectrum)
-    estimates = [estimate for _, estimate in results]
     lines = bearings_from_estimates(arrays, estimates, config)
     return solve_bearings(lines, config), estimates
 
@@ -236,13 +231,11 @@ def _estimate_or_none(filtered: MultichannelRecording, array: MicArray,
                       method: AoaMethod, config: PipelineConfig,
                       model: PropagationModel) -> AoaEstimate | None:
     """One method's estimate on a band-passed recording; None where the
-    estimator gives up, an ambiguous spectrum included."""
+    estimator gives up."""
     try:
-        spectrum, estimate = _estimate_filtered(filtered, array, method,
-                                                config, model)
+        return _estimate_filtered(filtered, array, method, config, model)[1]
     except (AmbiguousEstimateError, NoSignalError):
         return None
-    return None if spectrum.ambiguous else estimate
 
 
 def _localization_error(usable: list[tuple[MicArray, AoaEstimate]],

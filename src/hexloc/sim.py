@@ -73,6 +73,12 @@ class Scene:
         if self.signal_kind == "tone" and not 0.0 < self.tone_hz < nyquist:
             raise ValueError(f"tone_hz must be above 0 and below Nyquist "
                              f"({nyquist} Hz), got {self.tone_hz}")
+        if self.signal_kind in ("speech", "chirp") \
+                and nyquist < dsp.DEFAULT_BAND_HZ[1]:
+            raise ValueError(
+                f"sample rate {self.model.sample_rate:g} Hz is too low for a "
+                f"{self.signal_kind} scene: Nyquist ({nyquist:g} Hz) is below "
+                f"the {dsp.DEFAULT_BAND_HZ[1]:g} Hz band edge")
         # +inf means noiseless; NaN and -inf are no noise level
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
             raise ValueError(f"snr_db must be a number or +inf, got {self.snr_db}")

@@ -220,7 +220,7 @@ def expand_delay_features(rec: MultichannelRecording, array: MicArray,
     if rec.num_channels != array.num_elements:
         raise ValueError(
             f"recording has {rec.num_channels} channels, "
-            f"array has {array.num_elements} elements")
+            f"array {array.id!r} has {array.num_elements} elements")
     if num_windows < 1:
         raise ValueError(f"num_windows must be >= 1, got {num_windows}")
     window_len = rec.num_samples // num_windows

@@ -77,9 +77,9 @@ def test_gcc_zero_delays_on_symmetric_array_is_ambiguous():
                          peak_scores=np.ones((1, 15)),
                          low_confidence=np.zeros((1, 15), bool),
                          source_array="A")
-    spectrum, est = estimate_aoa_gcc(delays, array, MODEL)
-    assert spectrum.ambiguous
-    assert est.confidence == 0.0
+    with pytest.raises(AmbiguousEstimateError, match="'A'") as exc:
+        estimate_aoa_gcc(delays, array, MODEL)
+    assert exc.value.spectrum.ambiguous
 
 
 def test_gcc_all_low_confidence_raises_with_spectrum():
@@ -266,11 +266,12 @@ def test_music_white_noise_flat_and_ambiguous():
     rng = np.random.default_rng(8)
     array = build_hex_array((0.0, 0.0), 0.0, array_id="A")
     rec = MultichannelRecording(rng.standard_normal((6, 44100)), FS)
-    spectrum, est = estimate_aoa_music(rec, array, MODEL)
+    with pytest.raises(AmbiguousEstimateError, match="'A'") as exc:
+        estimate_aoa_music(rec, array, MODEL)
+    spectrum = exc.value.spectrum
     spread_db = 10.0 * math.log10(spectrum.scores.max() / spectrum.scores.min())
     assert spread_db <= 3.0
     assert spectrum.ambiguous
-    assert est.confidence == 0.0
 
 
 def test_music_positive_finite_spectrum():
@@ -318,8 +319,11 @@ def test_music_rank_deficiency_warns():
     array = build_hex_array((0.0, 0.0), 0.0, array_id="A")
     rng = np.random.default_rng(11)
     rec = MultichannelRecording(rng.standard_normal((6, 2048)), FS)
-    with pytest.warns(RuntimeWarning):
-        estimate_aoa_music(rec, array, MODEL)  # 3 snapshots < 6 channels
+    # 3 snapshots < 6 channels; white noise leaves no azimuth standing out
+    with pytest.warns(RuntimeWarning), \
+            pytest.raises(AmbiguousEstimateError) as exc:
+        estimate_aoa_music(rec, array, MODEL)
+    assert exc.value.spectrum.ambiguous
 
 
 def test_covariance_stack_hermitian_psd():

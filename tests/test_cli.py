@@ -91,6 +91,7 @@ def test_aoa_command_prints_azimuth_and_writes_csv(tmp_path, capsys):
                      "--method", "gcc+", "--spectrum-csv", str(csv_path)])
     assert code == 0
     printed = capsys.readouterr().out
+    assert "ambiguous" not in printed  # a printed azimuth is a bearing
     azimuth = float(printed.split("azimuth_deg=")[1].split()[0])
     truth = json.loads((out / "ground_truth.json").read_text())
     expected = next(e["azimuth_deg"] for e in truth["per_array"]
@@ -114,7 +115,7 @@ def test_aoa_music_csv_rows(tmp_path):
     assert len(csv_path.read_text().strip().splitlines()) == 361
 
 
-def test_aoa_channel_mismatch_exit_2(tmp_path):
+def test_aoa_channel_mismatch_exit_2(tmp_path, capsys):
     rng = np.random.default_rng(0)
     wav = tmp_path / "five.wav"
     hio.write_wav(wav, MultichannelRecording(rng.standard_normal((5, 8192)),
@@ -122,7 +123,28 @@ def test_aoa_channel_mismatch_exit_2(tmp_path):
     spec_path = tmp_path / "a1.json"
     spec_path.write_text(json.dumps(
         {"id": "A1", "center_m": [0.0, 0.0], "orientation_rad": 0.0}))
-    assert cli.main(["aoa", str(wav), str(spec_path)]) == 2
+    for method in ("gcc+", "gcc-phat", "music"):
+        assert cli.main(["aoa", str(wav), str(spec_path),
+                         "--method", method]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'A1'" in err
+
+
+@pytest.mark.parametrize("method", ["gcc+", "gcc-phat", "music"])
+def test_aoa_ambiguous_spectrum_exit_2_writes_csv(tmp_path, capsys, method):
+    wav = tmp_path / "constant.wav"
+    hio.write_wav(wav, MultichannelRecording(np.full((6, 46746), 0.3),
+                                             44100.0))
+    spec_path = tmp_path / "a1.json"
+    spec_path.write_text(json.dumps(
+        {"id": "A1", "center_m": [0.0, 0.0], "orientation_rad": 0.0}))
+    csv_path = tmp_path / "spectrum.csv"
+    assert cli.main(["aoa", str(wav), str(spec_path), "--method", method,
+                     "--spectrum-csv", str(csv_path)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "'A1'" in captured.err
+    assert len(csv_path.read_text().strip().splitlines()) == 361
 
 
 def test_localize_three_array_fixture(tmp_path, capsys):
@@ -149,6 +171,17 @@ def test_localize_single_array_manifest_exit_2(tmp_path, capsys):
     path.write_text(json.dumps(manifest))
     assert cli.main(["localize", str(path)]) == 2
     assert "at least two" in capsys.readouterr().err
+
+
+def test_localize_channel_mismatch_names_the_array(tmp_path, capsys):
+    out = simulated_fixture(tmp_path)
+    rec = hio.read_wav(out / "A2.wav")
+    hio.write_wav(out / "A2.wav", MultichannelRecording(rec.samples[:5],
+                                                        rec.sample_rate))
+    assert cli.main(["localize", str(out / "manifest.json")]) \
+        == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'A2'" in err
 
 
 def test_localize_sample_rate_mismatch_exit_2(tmp_path, capsys):
@@ -278,6 +311,22 @@ def test_simulate_fractional_sample_rate_exit_2(tmp_path, capsys):
                      str(out)]) == cli.EXIT_USAGE
     assert "sample_rate_hz" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["speech", "chirp"])
+def test_simulate_rate_below_band_exit_2(tmp_path, capsys, kind):
+    # a 6 kHz scene cannot carry the 300-3500 Hz band; 7 kHz just can
+    out = tmp_path / "out"
+    low = scene_config(tmp_path, name="low.json", sample_rate_hz=6000,
+                       signal={"kind": kind})
+    assert cli.main(["simulate", str(low), "--out-dir",
+                     str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(low) in err and "6000" in err
+    assert not out.exists()
+    ok = scene_config(tmp_path, name="ok.json", sample_rate_hz=7000,
+                      signal={"kind": kind})
+    assert cli.main(["simulate", str(ok), "--out-dir", str(out)]) == 0
 
 
 def test_write_wav_rejects_fractional_rate(tmp_path):

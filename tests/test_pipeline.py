@@ -11,7 +11,7 @@ from hexloc import dsp, pipeline, sim
 from hexloc.aoa import AoaMethod, circular_error_deg
 from hexloc.errors import (AmbiguousEstimateError, NoSignalError,
                            UnlocalizableError)
-from hexloc.geometry import build_hex_array
+from hexloc.geometry import PropagationModel, build_hex_array
 from hexloc.pipeline import (EvalSummary, PipelineConfig, csv_to_rows,
                              localize_recordings, rows_to_csv, run_eval,
                              summaries_to_csv, summarize)
@@ -371,17 +371,17 @@ def test_one_faulty_channel_keeps_the_bearing(a1_scene, method, fault, channel):
 
 
 @pytest.mark.parametrize("method", list(AoaMethod), ids=lambda m: m.value)
-def test_all_channels_constant_gives_no_trusted_bearing(a1_scene, method):
-    rec, array, _, model = a1_scene
-    flat = dsp.MultichannelRecording(np.full_like(rec.samples, 0.3),
-                                     rec.sample_rate)
-    try:
-        spectrum, est = pipeline.estimate_recording_aoa(
-            flat, array, method, PipelineConfig(), model)
-    except (NoSignalError, AmbiguousEstimateError):
-        return
-    assert spectrum.ambiguous
-    assert est.confidence == 0.0
+def test_all_channels_constant_gives_no_trusted_bearing(method):
+    # the flat test is relative to the scores' own scale: gcc+ scores are
+    # tiny (s^2) and, from the fit's bias, span up to 3e-3 of their size
+    array = sim.default_array_layout()[0]
+    for rate in (7000.0, 8000.0, 11025.0, 16000.0, 22050.0, 44100.0):
+        flat = dsp.MultichannelRecording(
+            np.full((6, round(sim.DEFAULT_DURATION_S * rate)), 0.3), rate)
+        with pytest.raises((NoSignalError, AmbiguousEstimateError)):
+            pipeline.estimate_recording_aoa(
+                flat, array, method, PipelineConfig(),
+                PropagationModel(sample_rate=rate))
 
 
 def test_eval_give_ups_land_on_their_array_and_method(monkeypatch):
