@@ -1,5 +1,6 @@
 """2D position from bearing lines: closed-form least squares plus RANSAC
-and IRLS robust variants.
+and IRLS robust variants. Every line enters a solve alike; only IRLS
+reweights them, by their residuals.
 
 Each bearing defines the full line l(t) = anchor + t * direction,
 t in (-inf, inf); solutions landing behind an anchor (negative t) are kept
@@ -35,7 +36,6 @@ class BearingLine:
 
     anchor: np.ndarray
     direction: np.ndarray
-    weight: float = 1.0
     array_id: str = ""
 
     def __post_init__(self):
@@ -45,18 +45,19 @@ class BearingLine:
         object.__setattr__(self, "direction", direction)
         if anchor.shape != (2,) or direction.shape != (2,):
             raise ValueError("anchor and direction must be 2D")
+        for name, value in (("anchor", anchor), ("direction", direction)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
         norm = float(np.linalg.norm(direction))
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"direction must be unit length, |n| = {norm}")
-        if not self.weight > 0:
-            raise ValueError(f"weight must be positive, got {self.weight}")
 
     @classmethod
-    def from_azimuth(cls, anchor, azimuth: float, weight: float = 1.0,
+    def from_azimuth(cls, anchor, azimuth: float,
                      array_id: str = "") -> "BearingLine":
         return cls(anchor=np.asarray(anchor, dtype=float),
                    direction=np.array([math.cos(azimuth), math.sin(azimuth)]),
-                   weight=weight, array_id=array_id)
+                   array_id=array_id)
 
 
 @dataclass(frozen=True)
@@ -77,19 +78,16 @@ class _Lines(NamedTuple):
 
     anchors: np.ndarray     # (n, 2)
     directions: np.ndarray  # (n, 2), unit
-    weights: np.ndarray     # (n,)
     ids: tuple[str, ...]
 
     @classmethod
     def of(cls, lines: list[BearingLine]) -> "_Lines":
         return cls(np.array([ln.anchor for ln in lines]),
                    np.array([ln.direction for ln in lines]),
-                   np.array([ln.weight for ln in lines]),
                    tuple(ln.array_id for ln in lines))
 
     def take(self, mask: np.ndarray) -> "_Lines":
         return _Lines(self.anchors[mask], self.directions[mask],
-                      self.weights[mask],
                       tuple(i for i, m in zip(self.ids, mask) if m))
 
 
@@ -133,7 +131,8 @@ def _all_parallel(directions: np.ndarray, tol: float) -> bool:
 def _weighted_normal_solve(lines: _Lines,
                            weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimize sum_i w_i * dist(p, line_i)^2 in closed form; returns the
-    position and the 2x2 normal matrix."""
+    position and the 2x2 normal matrix. Unit weights give the least-squares
+    solve; IRLS passes its residual weights."""
     d = lines.directions
     proj = np.eye(2) - d[:, :, None] * d[:, None, :]
     # summed over the lines in order, as term-by-term accumulation would
@@ -168,11 +167,11 @@ def _finish(lines: _Lines, position, method, inliers=(), weights=(),
 
 
 def solve_mle(lines: list[BearingLine]) -> LocalizationResult:
-    """Closed-form minimizer of the weighted squared perpendicular distances."""
+    """Closed-form minimizer of the summed squared perpendicular distances."""
     stack = _Lines.of(_check_lines(lines))
     if _all_parallel(stack.directions, PARALLEL_SIN_TOL):
         raise UnlocalizableError("all bearing lines are parallel")
-    position, m = _weighted_normal_solve(stack, stack.weights)
+    position, m = _weighted_normal_solve(stack, np.ones(len(stack.ids)))
     return _finish(stack, position, "mle", condition_flag=_ill_conditioned(m))
 
 
@@ -206,6 +205,8 @@ def solve_ransac(lines: list[BearingLine],
     lines = _check_lines(lines)
     if not threshold > 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
     stack = _Lines.of(lines)
     if len(lines) == 2:
         base = solve_mle(lines)
@@ -239,7 +240,8 @@ def solve_ransac(lines: list[BearingLine],
     inliers = stack.take(mask)
     if len(inliers.ids) >= 2 \
             and not _all_parallel(inliers.directions, PARALLEL_SIN_TOL):
-        position, m = _weighted_normal_solve(inliers, inliers.weights)
+        position, m = _weighted_normal_solve(inliers,
+                                             np.ones(len(inliers.ids)))
         flag = _ill_conditioned(m)
     else:
         position, flag = candidates[best[2]], False
@@ -250,7 +252,7 @@ def solve_ransac(lines: list[BearingLine],
 def solve_irls(lines: list[BearingLine]) -> LocalizationResult:
     """Iteratively reweight each line by the inverse of its residual.
 
-    Starts from the weighted least-squares solution and updates
+    Starts from the least-squares solution and updates
     w_i = 1 / max(residual_i, floor) until the position moves less than
     ``IRLS_TOL_M`` or ``IRLS_MAX_ITER`` iterations are done; ``converged``
     tells which.
@@ -259,7 +261,7 @@ def solve_irls(lines: list[BearingLine]) -> LocalizationResult:
     stack = _Lines.of(lines)
     start = solve_mle(lines)
     position = start.position
-    weights = stack.weights
+    weights = np.ones(len(lines))
     flag = start.condition_flag
     iterations = 0
     converged = False

@@ -21,19 +21,17 @@ from .sim import Echo
 
 ALL_METHODS = (AoaMethod.GCC_PLUS, AoaMethod.GCC_PHAT, AoaMethod.MUSIC)
 ALL_SOLVERS = ("mle", "ransac", "irls")
-MIN_BEARING_WEIGHT = 1e-3
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Parameter surface of the full pipeline.
 
-    ``strict_paper_mode`` switches off exactly three enhancements that are
+    ``strict_paper_mode`` switches off exactly two enhancements that are
     tuning choices of this implementation, resolved by read-only properties:
-    multi-window delay aggregation (``window_count`` is 1), peak-score
-    weighting in the matcher (``weighted_matcher``) and confidence-weighted
-    bearings (``weighted_bearings``). Nothing else changes, which the
-    config-diff test asserts.
+    multi-window delay aggregation (``window_count`` is 1) and peak-score
+    weighting in the matcher (``weighted_matcher``). Nothing else changes,
+    which the config-diff test asserts.
     """
 
     band_hz: tuple[float, float] = dsp.DEFAULT_BAND_HZ
@@ -61,10 +59,6 @@ class PipelineConfig:
 
     @property
     def weighted_matcher(self) -> bool:
-        return not self.strict_paper_mode
-
-    @property
-    def weighted_bearings(self) -> bool:
         return not self.strict_paper_mode
 
 
@@ -104,22 +98,17 @@ def _estimate_filtered(filtered: MultichannelRecording, array: MicArray,
                                   grid_step_deg=config.grid_step_deg)
 
 
-def bearings_from_estimates(arrays: list[MicArray],
-                            estimates: list[AoaEstimate],
-                            config: PipelineConfig) -> list[BearingLine]:
-    weights = [max(e.confidence, MIN_BEARING_WEIGHT)
-               if config.weighted_bearings else 1.0 for e in estimates]
-    return [BearingLine.from_azimuth(a.center, e.azimuth, weight=w, array_id=a.id)
-            for a, e, w in zip(arrays, estimates, weights)]
-
-
-def solve_bearings(lines: list[BearingLine],
-                   config: PipelineConfig) -> LocalizationResult:
-    solver = config.solver
-    if solver == "ransac":
+def fuse_bearings(arrays: list[MicArray], estimates: list[AoaEstimate],
+                  config: PipelineConfig) -> LocalizationResult:
+    """One bearing line per array, through its centre along its estimate,
+    fused by the configured solver. Every bearing counts alike: an
+    estimate's ``confidence`` is a diagnostic that fusion does not read."""
+    lines = [BearingLine.from_azimuth(a.center, e.azimuth, array_id=a.id)
+             for a, e in zip(arrays, estimates)]
+    if config.solver == "ransac":
         return localize.solve_ransac(lines, config.ransac_threshold_m,
                                      config.ransac_iterations, config.seed)
-    if solver == "irls":
+    if config.solver == "irls":
         return localize.solve_irls(lines)
     return localize.solve_mle(lines)
 
@@ -140,8 +129,7 @@ def localize_recordings(recs: list[MultichannelRecording],
     estimates = map_tasks(
         lambda job: estimate_recording_aoa(*job, method, config, model)[1],
         zip(recs, arrays))
-    lines = bearings_from_estimates(arrays, estimates, config)
-    return solve_bearings(lines, config), estimates
+    return fuse_bearings(arrays, estimates, config), estimates
 
 
 @dataclass(frozen=True)
@@ -243,10 +231,8 @@ def _localization_error(usable: list[tuple[MicArray, AoaEstimate]],
     """Position error of the fused bearings; NaN when they cannot be fused."""
     if len(usable) < 2:
         return math.nan
-    arrays, estimates = zip(*usable)
-    lines = bearings_from_estimates(arrays, estimates, config)
     try:
-        result = solve_bearings(lines, config)
+        result = fuse_bearings(*zip(*usable), config)
     except UnlocalizableError:
         return math.nan
     return float(np.linalg.norm(result.position - source))

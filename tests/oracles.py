@@ -311,13 +311,14 @@ def _loop_result(lines, position, method, inliers=(), weights=(),
 def loop_solve_mle(lines):
     if _loop_all_parallel(lines, PARALLEL_SIN_TOL):
         raise UnlocalizableError("all bearing lines are parallel")
-    weights = np.array([ln.weight for ln in lines])
-    position, flag = _loop_normal_solve(lines, weights)
+    position, flag = _loop_normal_solve(lines, np.ones(len(lines)))
     return _loop_result(lines, position, "mle", condition_flag=flag)
 
 
 def loop_solve_ransac(lines, threshold, iterations, seed):
     """One drawn pair per iteration, intersected and measured anew."""
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
     if len(lines) == 2:
         base = loop_solve_mle(lines)
         return _loop_result(lines, base["position"], "ransac",
@@ -352,8 +353,8 @@ def loop_solve_ransac(lines, threshold, iterations, seed):
     inlier_lines = [ln for ln, m in zip(lines, mask) if m]
     if len(inlier_lines) >= 2 \
             and not _loop_all_parallel(inlier_lines, PARALLEL_SIN_TOL):
-        weights = np.array([ln.weight for ln in inlier_lines])
-        position, flag = _loop_normal_solve(inlier_lines, weights)
+        position, flag = _loop_normal_solve(inlier_lines,
+                                            np.ones(len(inlier_lines)))
     else:
         position, flag = candidate, False
     return _loop_result(
@@ -365,7 +366,7 @@ def loop_solve_ransac(lines, threshold, iterations, seed):
 def loop_solve_irls(lines):
     start = loop_solve_mle(lines)
     position = start["position"]
-    weights = np.array([ln.weight for ln in lines])
+    weights = np.ones(len(lines))
     flag = start["condition_flag"]
     iterations = 0
     converged = False

@@ -245,7 +245,7 @@ def test_criterion_7_invariant_bundle():
              bearing_to((2.0, 7.0), target, array_id="c")]
     shift = np.array([3.3, -1.7])
     moved = [BearingLine(anchor=ln.anchor + shift, direction=ln.direction,
-                         weight=ln.weight, array_id=ln.array_id)
+                         array_id=ln.array_id)
              for ln in lines]
     np.testing.assert_allclose(solve_mle(moved).position,
                                solve_mle(lines).position + shift, atol=1e-9)

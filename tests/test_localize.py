@@ -13,16 +13,16 @@ from hexloc.localize import (IRLS_MAX_ITER, IRLS_TOL_M, RANSAC_PAIR_SIN_TOL,
 import oracles
 
 
-def line(anchor, azimuth_deg, weight=1.0, array_id=""):
+def line(anchor, azimuth_deg, array_id=""):
     return BearingLine.from_azimuth(anchor, math.radians(azimuth_deg),
-                                    weight=weight, array_id=array_id)
+                                    array_id=array_id)
 
 
-def lines_to_target(anchors, target, weight=1.0):
+def lines_to_target(anchors, target):
     out = []
     for k, anchor in enumerate(anchors):
         azimuth = math.atan2(target[1] - anchor[1], target[0] - anchor[0])
-        out.append(BearingLine.from_azimuth(anchor, azimuth, weight=weight,
+        out.append(BearingLine.from_azimuth(anchor, azimuth,
                                             array_id=f"L{k}"))
     return out
 
@@ -30,9 +30,15 @@ def lines_to_target(anchors, target, weight=1.0):
 def test_bearing_line_validation():
     with pytest.raises(ValueError):
         BearingLine(anchor=np.zeros(2), direction=np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        BearingLine(anchor=np.zeros(2), direction=np.array([1.0, 0.0]),
-                    weight=0.0)
+    # a NaN azimuth used to pass the unit-length test and end in a solver's
+    # "parallel" or "singular" error
+    with pytest.raises(ValueError, match="direction must be finite"):
+        BearingLine.from_azimuth((0.0, 0.0), math.nan)
+    with pytest.raises(ValueError, match="direction must be finite"):
+        BearingLine(anchor=np.zeros(2), direction=np.array([math.inf, 0.0]))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="anchor must be finite"):
+            BearingLine.from_azimuth((0.0, bad), 0.3)
 
 
 def test_mle_hand_intersection():
@@ -72,16 +78,13 @@ def test_mle_residuals_recomputable():
             abs=1e-9)
 
 
-def test_mle_weighted_optimality_in_compass_directions():
-    rng = np.random.default_rng(1)
-    lines = [line((0.0, 0.0), 42.0, weight=2.0),
-             line((8.0, 0.0), 123.0, weight=0.5),
-             line((4.0, 7.0), 260.0, weight=1.3)]
+def test_mle_optimality_in_compass_directions():
+    lines = [line((0.0, 0.0), 42.0), line((8.0, 0.0), 123.0),
+             line((4.0, 7.0), 260.0)]
     result = solve_mle(lines)
-    weights = np.array([ln.weight for ln in lines])
 
     def cost(p):
-        return float(np.sum(weights * perpendicular_distances(lines, p) ** 2))
+        return float(np.sum(perpendicular_distances(lines, p) ** 2))
 
     base = cost(result.position)
     for angle in np.arange(0.0, 360.0, 45.0):
@@ -173,6 +176,16 @@ def test_ransac_rejects_bad_threshold():
         solve_ransac(lines, threshold=0.0)
 
 
+@pytest.mark.parametrize("iterations", [0, -3])
+@pytest.mark.parametrize("count", [2, 3])
+def test_ransac_rejects_bad_iterations(iterations, count):
+    # no draws is a bad argument, not unlocalizable geometry
+    lines = lines_to_target([(0.0, 0.0), (8.0, 0.0), (1.0, 4.0)][:count],
+                            (2.0, 3.0))
+    with pytest.raises(ValueError, match="iterations"):
+        solve_ransac(lines, iterations=iterations)
+
+
 def test_ransac_parallel_lines_unlocalizable():
     lines = [line((0.0, 0.0), 10.0, array_id="a"),
              line((0.0, 1.0), 10.0, array_id="b"),
@@ -220,7 +233,7 @@ def test_translation_equivariance():
         lines = lines_to_target(anchors, target)
         shift = np.array([rng.uniform(-10, 10), rng.uniform(-10, 10)])
         moved = [BearingLine(anchor=ln.anchor + shift, direction=ln.direction,
-                             weight=ln.weight, array_id=ln.array_id)
+                             array_id=ln.array_id)
                  for ln in lines]
         a = solver(lines).position
         b = solver(moved).position
@@ -235,7 +248,7 @@ def test_rotation_equivariance():
     lines = lines_to_target(anchors, (3.0, 3.5))
     rotated = [BearingLine(anchor=rot @ ln.anchor,
                            direction=rot @ ln.direction,
-                           weight=ln.weight, array_id=ln.array_id)
+                           array_id=ln.array_id)
                for ln in lines]
     for solver in (solve_mle, solve_irls):
         a = solver(lines).position
@@ -280,7 +293,7 @@ SOLVER_TOLERANCE_M = {solve_mle: 1e-9, solve_irls: 2.0 * IRLS_TOL_M}
 
 @st.composite
 def noisy_bearings(draw, min_count=2, max_count=6):
-    """``min_count``-``max_count`` weighted bearing lines from anchors in a
+    """``min_count``-``max_count`` bearing lines from anchors in a
     20 m square towards a target, each bearing off by up to 5 degrees, none
     within 0.5 m of the target and no pair closer than 6 degrees to
     parallel; a line dropped for starting near the target can leave fewer."""
@@ -292,15 +305,13 @@ def noisy_bearings(draw, min_count=2, max_count=6):
                             min_size=count, max_size=count))
     errors = draw(st.lists(st.floats(-5.0, 5.0), min_size=count,
                            max_size=count))
-    weights = draw(st.lists(st.floats(0.2, 3.0), min_size=count,
-                            max_size=count))
     lines = []
-    for k, (anchor, error, weight) in enumerate(zip(anchors, errors, weights)):
+    for k, (anchor, error) in enumerate(zip(anchors, errors)):
         offset = target - np.array(anchor)
         if np.linalg.norm(offset) < 0.5:
             continue
         azimuth = math.atan2(offset[1], offset[0]) + math.radians(error)
-        lines.append(BearingLine.from_azimuth(anchor, azimuth, weight=weight,
+        lines.append(BearingLine.from_azimuth(anchor, azimuth,
                                               array_id=f"L{k}"))
     d = np.array([ln.direction for ln in lines]).reshape(-1, 2)
     crosses = np.abs(np.outer(d[:, 0], d[:, 1]) - np.outer(d[:, 1], d[:, 0]))
@@ -310,7 +321,7 @@ def noisy_bearings(draw, min_count=2, max_count=6):
 
 def moved_line(ln, rotation=np.eye(2), shift=np.zeros(2)):
     return BearingLine(anchor=rotation @ ln.anchor + shift,
-                       direction=rotation @ ln.direction, weight=ln.weight,
+                       direction=rotation @ ln.direction,
                        array_id=ln.array_id)
 
 
@@ -399,7 +410,7 @@ def test_ransac_equivariant_under_rigid_motion(lines, shift, theta):
 
 @st.composite
 def any_bearings(draw):
-    """2-6 weighted lines aimed at a target, each either near it (up to 5
+    """2-6 lines aimed at a target, each either near it (up to 5
     degrees off), exactly on it, or anywhere (a gross outlier, possibly
     parallel to another line or pointing away from the target)."""
     target = np.array(draw(st.tuples(st.floats(-5.0, 5.0),
@@ -411,10 +422,9 @@ def any_bearings(draw):
                                          st.floats(-10.0, 10.0))))
         error = draw(st.just(0.0) | st.floats(-5.0, 5.0)
                      | st.floats(-180.0, 180.0))
-        weight = draw(st.floats(0.2, 3.0))
         offset = target - anchor
         azimuth = math.atan2(offset[1], offset[0]) + math.radians(error)
-        lines.append(BearingLine.from_azimuth(anchor, azimuth, weight=weight,
+        lines.append(BearingLine.from_azimuth(anchor, azimuth,
                                               array_id=f"L{k}"))
     return lines
 
@@ -422,7 +432,7 @@ def any_bearings(draw):
 def outcome(solve):
     try:
         return solve()
-    except UnlocalizableError as exc:
+    except (UnlocalizableError, ValueError) as exc:
         return type(exc)
 
 

@@ -42,13 +42,11 @@ def test_strict_mode_toggles_only_documented_knobs():
     default = resolved(PipelineConfig())
     strict = resolved(strict_cfg)
     changed = {k for k in default if default[k] != strict[k]}
-    assert changed == {"window_count", "weighted_matcher", "weighted_bearings"}
+    assert changed == {"window_count", "weighted_matcher"}
     assert default["window_count"] == 2
     assert default["weighted_matcher"] is True
-    assert default["weighted_bearings"] is True
     assert strict["window_count"] == 1
     assert strict["weighted_matcher"] is False
-    assert strict["weighted_bearings"] is False
     assert replace(strict_cfg, strict_paper_mode=False) == PipelineConfig()
     # the resolved values are derived, not settable
     assert len(fields(PipelineConfig)) == 9
@@ -85,6 +83,26 @@ def test_strict_mode_still_localizes():
     result, _ = localize_recordings(recs, list(arrays), AoaMethod.GCC_PLUS,
                                     cfg, scene.model)
     assert float(np.linalg.norm(result.position - truth.source)) < 0.2
+
+
+@pytest.mark.parametrize("solver", pipeline.ALL_SOLVERS)
+def test_fusion_ignores_confidence(solver):
+    # confidence is a diagnostic: bearings fuse as equals, so other
+    # confidences give the same result bit for bit
+    arrays = list(sim.default_array_layout())
+    scene = sim.Scene(arrays=arrays, source=(2.5, 2.0), snr_db=10.0, seed=3,
+                      duration=0.25)
+    recs, _ = sim.synthesize(scene)
+    cfg = PipelineConfig(solver=solver)
+    want, estimates = localize_recordings(recs, arrays, AoaMethod.GCC_PLUS,
+                                          cfg, scene.model)
+    doubted = [replace(e, confidence=c)
+               for e, c in zip(estimates, (1e-6, 0.5, 1.0))]
+    assert [e.confidence for e in doubted] != [e.confidence for e in estimates]
+    got = pipeline.fuse_bearings(arrays, doubted, cfg)
+    for f in fields(want):
+        np.testing.assert_array_equal(getattr(got, f.name),
+                                      getattr(want, f.name), err_msg=f.name)
 
 
 def test_eval_rows_and_summaries_round_trip():
@@ -193,8 +211,7 @@ def serial_localize(recs, arrays, method, config, model):
     estimates = [pipeline.estimate_recording_aoa(rec, array, method, config,
                                                  model)[1]
                  for rec, array in zip(recs, arrays)]
-    lines = pipeline.bearings_from_estimates(arrays, estimates, config)
-    return pipeline.solve_bearings(lines, config), estimates
+    return pipeline.fuse_bearings(arrays, estimates, config), estimates
 
 
 def serial_eval(n_trials, bounds, config, snr_db, echoes, solvers):
@@ -224,10 +241,8 @@ def serial_eval(n_trials, bounds, config, snr_db, echoes, solvers):
                 err = math.nan
                 if len(usable) >= 2:
                     cfg = replace(config, solver=solver)
-                    lines = pipeline.bearings_from_estimates(
-                        *zip(*usable), cfg)
                     try:
-                        result = pipeline.solve_bearings(lines, cfg)
+                        result = pipeline.fuse_bearings(*zip(*usable), cfg)
                     except UnlocalizableError:
                         pass
                     else:
