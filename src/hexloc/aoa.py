@@ -67,14 +67,11 @@ class AoaEstimate:
     """Refined azimuth in global-frame radians, [0, 2pi)."""
 
     azimuth: float
-    confidence: float
     method: AoaMethod
     array_id: str
 
     def __post_init__(self):
         object.__setattr__(self, "azimuth", float(self.azimuth) % (2.0 * math.pi))
-        if self.confidence < 0:
-            raise ValueError("confidence must be >= 0")
 
     @property
     def azimuth_deg(self) -> float:
@@ -96,11 +93,11 @@ def circular_error_deg(a_deg: float, b_deg: float) -> float:
 
 
 def _bearing(angles_deg: np.ndarray, scores: np.ndarray, method: AoaMethod,
-             array_id: str, refine: bool, doubt: str | None
+             array_id: str, doubt: str | None
              ) -> tuple[AoaSpectrum, AoaEstimate]:
-    """The scored spectrum and the azimuth at its peak, with the peak's
-    prominence as confidence. Raises AmbiguousEstimateError naming the array
-    when the scores are flat or the estimator states a ``doubt``."""
+    """The scored spectrum and the azimuth at its peak, refined between grid
+    angles by every method but GCC-PHAT. Raises AmbiguousEstimateError naming
+    the array when the scores are flat or the estimator states a ``doubt``."""
     spread = float(scores.max() - scores.min())
     if spread <= FLAT_SPREAD * float(np.abs(scores).max()):
         doubt = "the spectrum is flat"
@@ -113,7 +110,7 @@ def _bearing(angles_deg: np.ndarray, scores: np.ndarray, method: AoaMethod,
     peak = int(np.argmax(scores))
     step = float(angles_deg[1] - angles_deg[0])
     offset = 0.0
-    if refine:
+    if method is not AoaMethod.GCC_PHAT:
         # vertex of the parabola through the peak and its two circular
         # neighbours; symmetric about the peak, so a source halfway between
         # two grid angles lands at the same azimuth whichever of the tied
@@ -125,10 +122,8 @@ def _bearing(angles_deg: np.ndarray, scores: np.ndarray, method: AoaMethod,
         if curvature < 0.0:
             offset = float((before - after) / (2.0 * curvature))
     azimuth_deg = (float(angles_deg[peak]) + offset * step) % 360.0
-    prominence = float((scores.max() - np.median(scores)) / spread)
     return spectrum, AoaEstimate(azimuth=math.radians(azimuth_deg),
-                                 confidence=prominence, method=method,
-                                 array_id=array_id)
+                                 method=method, array_id=array_id)
 
 
 def _azimuth_grid(grid_step_deg: float) -> np.ndarray:
@@ -140,24 +135,27 @@ def _azimuth_grid(grid_step_deg: float) -> np.ndarray:
 def estimate_aoa_gcc(delays: DelayVector, array: MicArray,
                      model: PropagationModel,
                      grid_step_deg: float = DEFAULT_GRID_STEP_DEG,
-                     weighted: bool = True, refine: bool = True,
                      method: AoaMethod = AoaMethod.GCC_PLUS
                      ) -> tuple[AoaSpectrum, AoaEstimate]:
     """Match an observed delay vector against predicted delays on an
     azimuth grid.
 
-    score(theta) = -sum_e w_e (observed_e - predicted_e(theta))^2, with
-    weights from correlation peak scores (normalized) or uniform. The
-    discrete argmax is refined by the vertex of the parabola through it and
-    its two circular neighbours on the grid. Predictions use global-frame
-    element positions, so the returned azimuth is global. A flat spectrum
-    or all-low-confidence delays raise AmbiguousEstimateError.
+    score(theta) = -sum_e w_e (observed_e - predicted_e(theta))^2. GCC+
+    weighs each entry by its correlation peak score (normalized) and refines
+    the discrete argmax by the vertex of the parabola through it and its two
+    circular neighbours on the grid; GCC-PHAT weighs entries uniformly and
+    keeps the grid angle. Any other method raises ValueError. Predictions
+    use global-frame element positions, so the returned azimuth is global.
+    A flat spectrum or all-low-confidence delays raise AmbiguousEstimateError.
     """
+    method = AoaMethod(method)
+    if method is AoaMethod.MUSIC:
+        raise ValueError("the delay matcher runs gcc+ or gcc-phat, not music")
     angles_deg = _azimuth_grid(grid_step_deg)
     grid_rad = np.deg2rad(angles_deg)
     predicted = np.stack([geometry.predicted_pair_delay(array, p, grid_rad, model)
                           for p in delays.pairs])   # (pairs, angles)
-    w = np.maximum(delays.peak_scores, 0.0) if weighted \
+    w = np.maximum(delays.peak_scores, 0.0) if method is AoaMethod.GCC_PLUS \
         else np.ones(delays.delays.shape)
     total = w.sum()
     w = w / total if total > 0 else np.full(w.shape, 1.0 / w.size)
@@ -168,8 +166,7 @@ def estimate_aoa_gcc(delays: DelayVector, array: MicArray,
 
     doubt = "every pairwise delay was flagged low-confidence" \
         if np.all(delays.low_confidence) else None
-    return _bearing(angles_deg, scores, method, delays.source_array, refine,
-                    doubt)
+    return _bearing(angles_deg, scores, method, delays.source_array, doubt)
 
 
 def baseline_aoa_gcc_phat(rec: MultichannelRecording, array: MicArray,
@@ -183,8 +180,7 @@ def baseline_aoa_gcc_phat(rec: MultichannelRecording, array: MicArray,
                                         upsample_factor=1, model=model,
                                         refine=False, band_hz=band_hz)
     return estimate_aoa_gcc(delays, array, model, grid_step_deg,
-                            weighted=False, refine=False,
-                            method=AoaMethod.GCC_PHAT)
+                            AoaMethod.GCC_PHAT)
 
 
 def covariance_stack(rec: MultichannelRecording,
@@ -269,5 +265,4 @@ def estimate_aoa_music(rec: MultichannelRecording, array: MicArray,
 
     doubt = "the peak fails to double the median floor" \
         if float(scores.max()) < 2.0 * float(np.median(scores)) else None
-    return _bearing(angles_deg, scores, AoaMethod.MUSIC, array.id,
-                    refine=True, doubt=doubt)
+    return _bearing(angles_deg, scores, AoaMethod.MUSIC, array.id, doubt)

@@ -56,8 +56,6 @@ def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--num-windows", type=int, default=default.num_windows)
     parser.add_argument("--grid-step-deg", type=float,
                         default=default.grid_step_deg)
-    parser.add_argument("--strict-paper-mode", action="store_true",
-                        default=default.strict_paper_mode)
 
 
 def _add_fusion_flags(parser: argparse.ArgumentParser) -> None:
@@ -92,8 +90,7 @@ def cmd_aoa(args) -> int:
                 pipeline.spectrum_to_csv(exc.spectrum))
         raise
     print(f"array={array.id} method={estimate.method.value} "
-          f"azimuth_deg={estimate.azimuth_deg:.3f} "
-          f"confidence={estimate.confidence:.4f}")
+          f"azimuth_deg={estimate.azimuth_deg:.3f}")
     if args.spectrum_csv:
         Path(args.spectrum_csv).write_text(pipeline.spectrum_to_csv(spectrum))
     return EXIT_OK
@@ -203,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if "strict_paper_mode" in args:  # a command that takes the pipeline flags
+    if "band_low_hz" in args:  # a command that takes the estimator flags
         try:
             args.config = _config_from_args(args)
         except ValueError as exc:

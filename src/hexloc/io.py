@@ -220,12 +220,20 @@ def load_array_spec(path) -> MicArray:
     return parse_array(_load_json(path), context=str(path))
 
 
+def _distinct(arrays, context: str):
+    """The arrays, unless two of them share an id."""
+    if (repeated := sim.repeated_id(arrays)) is not None:
+        raise SceneConfigError(f"array id {repeated!r} is repeated in {context}")
+    return arrays
+
+
 def load_arrays(path) -> tuple[MicArray, ...]:
     """The array specs of a file that holds a JSON list of them."""
     entries = _typed(_load_json(path), list, str(path))
     if not entries:
         raise SceneConfigError(f"{path} lists no array spec")
-    return tuple(parse_array(a, f"{path}[{k}]") for k, a in enumerate(entries))
+    return _distinct(tuple(parse_array(a, f"{path}[{k}]")
+                           for k, a in enumerate(entries)), str(path))
 
 
 def _echo(entry, context: str) -> Echo:
@@ -244,7 +252,12 @@ def parse_scene(config: dict, context: str = "scene config",
     arrays = tuple(parse_array(a, f"{context}.arrays[{k}]")
                    for k, a in enumerate(raw_arrays))
     source = _point(config, "source_m", context)
-    for array in arrays:
+    for k, array in enumerate(arrays):
+        # the id names the array's WAV file in the output directory
+        if array.id in ("", ".", "..") or "/" in array.id or "\\" in array.id:
+            raise SceneConfigError(
+                f"key 'id' must be a plain file name in {context}.arrays[{k}], "
+                f"got {array.id!r}")
         if np.allclose(source, array.center):
             raise SceneConfigError(
                 f"key 'source_m' in {context}: source coincides with array "
@@ -358,4 +371,4 @@ def load_manifest(path) -> tuple[list[MicArray], list[Path],
         wavs.append(path.parent / _require(entry, "wav", context, str))
     model = _propagation_model(manifest, str(path))
     declared = model.sample_rate if "sample_rate_hz" in manifest else None
-    return arrays, wavs, model, declared
+    return _distinct(arrays, str(path)), wavs, model, declared

@@ -25,14 +25,8 @@ ALL_SOLVERS = ("mle", "ransac", "irls")
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Parameter surface of the full pipeline.
-
-    ``strict_paper_mode`` switches off exactly two enhancements that are
-    tuning choices of this implementation, resolved by read-only properties:
-    multi-window delay aggregation (``window_count`` is 1) and peak-score
-    weighting in the matcher (``weighted_matcher``). Nothing else changes,
-    which the config-diff test asserts.
-    """
+    """Parameter surface of the full pipeline. How a bearing is computed
+    is the estimate method's alone; these are its tuning and the fusion's."""
 
     band_hz: tuple[float, float] = dsp.DEFAULT_BAND_HZ
     upsample_factor: int = dsp.DEFAULT_UPSAMPLE
@@ -42,7 +36,6 @@ class PipelineConfig:
     ransac_threshold_m: float = localize.RANSAC_THRESHOLD_M
     ransac_iterations: int = localize.RANSAC_ITERATIONS
     seed: int = 0
-    strict_paper_mode: bool = False
 
     def __post_init__(self):
         if self.solver not in ALL_SOLVERS:
@@ -52,14 +45,6 @@ class PipelineConfig:
         if self.ransac_iterations < 1 or not self.ransac_threshold_m > 0:
             raise ValueError("ransac_iterations must be >= 1 and "
                              "ransac_threshold_m positive")
-
-    @property
-    def window_count(self) -> int:
-        return 1 if self.strict_paper_mode else self.num_windows
-
-    @property
-    def weighted_matcher(self) -> bool:
-        return not self.strict_paper_mode
 
 
 def estimate_recording_aoa(rec: MultichannelRecording, array: MicArray,
@@ -85,12 +70,10 @@ def _estimate_filtered(filtered: MultichannelRecording, array: MicArray,
     """Run the chosen azimuth estimator on a band-passed recording."""
     if method is AoaMethod.GCC_PLUS:
         delays = tdoa.expand_delay_features(
-            filtered, array, num_windows=config.window_count,
+            filtered, array, num_windows=config.num_windows,
             upsample_factor=config.upsample_factor, model=model, refine=True,
             band_hz=config.band_hz)
-        return aoa.estimate_aoa_gcc(delays, array, model, config.grid_step_deg,
-                                    weighted=config.weighted_matcher,
-                                    refine=True, method=AoaMethod.GCC_PLUS)
+        return aoa.estimate_aoa_gcc(delays, array, model, config.grid_step_deg)
     if method is AoaMethod.GCC_PHAT:
         return aoa.baseline_aoa_gcc_phat(filtered, array, model,
                                          config.grid_step_deg, config.band_hz)
@@ -101,8 +84,7 @@ def _estimate_filtered(filtered: MultichannelRecording, array: MicArray,
 def fuse_bearings(arrays: list[MicArray], estimates: list[AoaEstimate],
                   config: PipelineConfig) -> LocalizationResult:
     """One bearing line per array, through its centre along its estimate,
-    fused by the configured solver. Every bearing counts alike: an
-    estimate's ``confidence`` is a diagnostic that fusion does not read."""
+    fused by the configured solver, every bearing alike."""
     lines = [BearingLine.from_azimuth(a.center, e.azimuth, array_id=a.id)
              for a, e in zip(arrays, estimates)]
     if config.solver == "ransac":

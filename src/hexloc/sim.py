@@ -63,8 +63,11 @@ class Scene:
                            tuple(Echo(*e) for e in self.echoes))
         if not self.arrays:
             raise ValueError("scene needs at least one array")
-        if self.source.shape != (2,):
-            raise ValueError("source must be a 2D point")
+        if (repeated := repeated_id(self.arrays)) is not None:
+            raise ValueError(f"array id {repeated!r} is repeated")
+        if self.source.shape != (2,) or not np.all(np.isfinite(self.source)):
+            raise ValueError(f"source must be a finite 2D point, "
+                             f"got {self.source}")
         if not self.duration > 0:
             raise ValueError(f"duration must be positive, got {self.duration}")
         if self.signal_kind not in SIGNAL_KINDS:
@@ -279,6 +282,9 @@ def sample_scenarios(n: int, bounds: tuple[float, float, float, float],
     if arrays is None:
         arrays = default_array_layout()
     x0, y0, x1, y1 = bounds
+    # NaN, an infinity or a span past the largest float leave no finite width
+    if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
+        raise ValueError(f"bounds must span a finite rectangle, got {bounds}")
     if x1 < x0 or y1 < y0:
         raise ValueError(f"bounds rectangle is inverted: {bounds}")
 
@@ -301,6 +307,12 @@ def sample_scenarios(n: int, bounds: tuple[float, float, float, float],
                             snr_db=snr_db, echoes=echoes,
                             seed=int(rng.integers(0, 2 ** 31))))
     return scenes
+
+
+def repeated_id(arrays) -> str | None:
+    """The first array id that an earlier array already has, or None."""
+    ids = [a.id for a in arrays]
+    return next((i for k, i in enumerate(ids) if i in ids[:k]), None)
 
 
 def default_array_layout() -> tuple[MicArray, ...]:

@@ -189,8 +189,8 @@ def estimate_pair_delay(rec: MultichannelRecording, max_lag: float,
     [[delay]], [[score]], [[concave]] = _pair_delays(
         dsp.real_spectrum(rec, nfft), np.array([[0]]), np.array([[1]]),
         [max_lag], upsample_factor, refine, band_hz)
-    return PairDelay(pair=(0, 1), delay=float(delay), peak_score=float(score),
-                     low_confidence=not concave)
+    # fields in order: pair, delay, peak score, window, low confidence
+    return PairDelay((0, 1), float(delay), float(score), 0, not concave)
 
 
 def default_max_lag(array: MicArray,
@@ -243,5 +243,5 @@ def expand_delay_features(rec: MultichannelRecording, array: MicArray,
         dsp.real_spectrum(MultichannelRecording(rows, rec.sample_rate), nfft),
         first * num_windows + windows, second * num_windows + windows,
         default_max_lag(array, pairs, model), upsample_factor, refine, band_hz)
-    return DelayVector(pairs=tuple(pairs), delays=delays, peak_scores=scores,
-                       low_confidence=~concave, source_array=array.id)
+    # fields in order: pairs, delays, peak scores, low confidence, array
+    return DelayVector(tuple(pairs), delays, scores, ~concave, array.id)

@@ -51,8 +51,7 @@ def test_spectrum_requires_uniform_grid():
 
 
 def test_estimate_wraps_azimuth():
-    est = AoaEstimate(azimuth=7.0, confidence=1.0,
-                      method=AoaMethod.GCC_PLUS, array_id="a")
+    est = AoaEstimate(azimuth=7.0, method=AoaMethod.GCC_PLUS, array_id="a")
     assert 0.0 <= est.azimuth < 2.0 * math.pi
 
 
@@ -158,16 +157,16 @@ ROTATION_TOLERANCE_DEG = 1e-9
        source_deg=st.floats(0.0, 360.0, exclude_max=True),
        grid_step_deg=st.sampled_from([0.5, 1.0, 2.0, 5.0]),
        steps=st.integers(-720, 720),
-       weighted=st.booleans(),
        noise=st.lists(st.floats(-2e-5, 2e-5), min_size=15, max_size=15),
        scores=st.lists(st.floats(0.05, 1.0), min_size=15, max_size=15))
 # a source halfway between two grid angles: the two scores tie up to
-# rounding, and either may be the argmax
+# rounding, and either may be the argmax. GCC+ refines both to the same
+# azimuth; GCC-PHAT keeps the grid angle, so it is not drawn here
 @example(orientation=0.0, source_deg=0.5, grid_step_deg=1.0, steps=1,
-         weighted=False, noise=[0.0] * 15, scores=[1.0] * 15)
+         noise=[0.0] * 15, scores=[1.0] * 15)
 def test_gcc_equivariant_under_whole_step_rotation(orientation, source_deg,
                                                    grid_step_deg, steps,
-                                                   weighted, noise, scores):
+                                                   noise, scores):
     def estimate(array_orientation, azimuth_deg):
         array = build_hex_array((0.0, 0.0), array_orientation, array_id="A")
         delays = [float(predicted_pair_delay(array, p, math.radians(
@@ -176,14 +175,13 @@ def test_gcc_equivariant_under_whole_step_rotation(orientation, source_deg,
                              peak_scores=[scores],
                              low_confidence=[[False] * 15], source_array="A")
         return estimate_aoa_gcc(vector, array, MODEL,
-                                grid_step_deg=grid_step_deg, weighted=weighted)
+                                grid_step_deg=grid_step_deg)
 
     turn_deg = steps * grid_step_deg
     spectrum, est = estimate(orientation, source_deg)
     turned_spectrum, turned = estimate(orientation + math.radians(turn_deg),
                                        source_deg + turn_deg)
     assert turned_spectrum.ambiguous == spectrum.ambiguous
-    assert turned.confidence == pytest.approx(est.confidence, abs=1e-9)
     assert circular_error_deg(turned.azimuth_deg, est.azimuth_deg + turn_deg) \
         <= ROTATION_TOLERANCE_DEG
 
@@ -191,13 +189,14 @@ def test_gcc_equivariant_under_whole_step_rotation(orientation, source_deg,
 @settings(max_examples=100, deadline=None)
 @given(orientation=st.floats(-math.pi, math.pi),
        windows=st.integers(1, 4), order=st.permutations(range(15)),
-       weighted=st.booleans(), all_negative=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1))
+       method=st.sampled_from([AoaMethod.GCC_PLUS, AoaMethod.GCC_PHAT]),
+       all_negative=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_gcc_scores_equal_per_entry_loop(orientation, windows, order,
-                                         weighted, all_negative, seed):
+                                         method, all_negative, seed):
     # one broadcast over (windows, pairs, angles) gives the per-entry loop's
-    # scores bit for bit, whatever the pair order; negative peak scores
-    # weigh nothing, and all-negative ones fall back to uniform weights
+    # scores bit for bit, whatever the pair order. GCC+ weighs by peak
+    # score: negative ones weigh nothing, and all-negative ones fall back
+    # to uniform weights. GCC-PHAT weighs uniformly
     array = build_hex_array((0.0, 0.0), orientation, array_id="A")
     rng = np.random.default_rng(seed)
     shape = (windows, 15)
@@ -207,10 +206,21 @@ def test_gcc_scores_equal_per_entry_loop(orientation, windows, order,
                          - float(all_negative),
                          low_confidence=np.zeros(shape, bool),
                          source_array="A")
-    spectrum, _ = estimate_aoa_gcc(delays, array, MODEL, weighted=weighted)
-    want = oracles.grid_match_scores_loop(delays.entries, array, MODEL,
-                                          spectrum.angles_deg, weighted)
+    spectrum, _ = estimate_aoa_gcc(delays, array, MODEL, method=method)
+    want = oracles.grid_match_scores_loop(
+        delays.entries, array, MODEL, spectrum.angles_deg,
+        weighted=method is AoaMethod.GCC_PLUS)
     assert spectrum.scores.tobytes() == want.tobytes()
+
+
+def test_gcc_matcher_refuses_music():
+    array = build_hex_array((0.0, 0.0), 0.0, array_id="A")
+    delays = DelayVector(pairs=mic_pairs(), delays=np.zeros((1, 15)),
+                         peak_scores=np.ones((1, 15)),
+                         low_confidence=np.zeros((1, 15), bool),
+                         source_array="A")
+    with pytest.raises(ValueError, match="gcc\\+ or gcc-phat"):
+        estimate_aoa_gcc(delays, array, MODEL, method=AoaMethod.MUSIC)
 
 
 # --- GCC-PHAT baseline --------------------------------------------------------

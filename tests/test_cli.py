@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -87,11 +88,14 @@ def test_aoa_command_prints_azimuth_and_writes_csv(tmp_path, capsys):
     spec_path.write_text(json.dumps(
         {"id": "A1", "center_m": [0.0, 0.0], "orientation_rad": 0.0}))
     csv_path = tmp_path / "spectrum.csv"
+    capsys.readouterr()  # what simulate printed
     code = cli.main(["aoa", str(out / "A1.wav"), str(spec_path),
                      "--method", "gcc+", "--spectrum-csv", str(csv_path)])
     assert code == 0
     printed = capsys.readouterr().out
-    assert "ambiguous" not in printed  # a printed azimuth is a bearing
+    # a printed azimuth is a bearing: one line, and nothing else on it
+    assert re.fullmatch(r"array=A1 method=gcc\+ azimuth_deg=\d+\.\d{3}\n",
+                        printed)
     azimuth = float(printed.split("azimuth_deg=")[1].split()[0])
     truth = json.loads((out / "ground_truth.json").read_text())
     expected = next(e["azimuth_deg"] for e in truth["per_array"]
@@ -486,6 +490,81 @@ def test_eval_single_array_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "at least two arrays" in err
     assert not out.exists()
+
+
+TWIN_ARRAYS = [
+    {"id": "A1", "center_m": [0.0, 0.0], "orientation_rad": 0.0},
+    {"id": "A1", "center_m": [6.0, 0.0], "orientation_rad": 2.0},
+]
+
+
+def assert_one_error_line(capsys, *named):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    for text in named:
+        assert text in err
+
+
+def test_eval_repeated_array_id_exit_2(tmp_path, capsys):
+    # each array is scored against the ground truth under its id
+    path = tmp_path / "twins.json"
+    path.write_text(json.dumps(TWIN_ARRAYS))
+    out = tmp_path / "unused"
+    assert cli.main(["eval", "--trials", "1", "--arrays", str(path),
+                     "--out-dir", str(out)]) == cli.EXIT_USAGE
+    assert_one_error_line(capsys, str(path), "'A1'")
+    assert not out.exists()
+
+
+def test_localize_repeated_array_id_exit_2(tmp_path, capsys):
+    out = simulated_fixture(tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["arrays"][1]["id"] = "A1"
+    path = out / "twins.json"
+    path.write_text(json.dumps(manifest))
+    assert cli.main(["localize", str(path)]) == cli.EXIT_USAGE
+    assert_one_error_line(capsys, str(path), "'A1'")
+
+
+@pytest.mark.parametrize("ids, named", [
+    (("A1", "A1"), "array id 'A1' is repeated"),
+    (("../escaped", "A2"), "key 'id'"),
+    (("sub/A1", "A2"), "key 'id'"),
+    (("sub\\A1", "A2"), "key 'id'"),
+    (("", "A2"), "key 'id'"),
+    ((".", "A2"), "key 'id'"),
+    (("..", "A2"), "key 'id'"),
+], ids=["repeated", "parent", "slash", "backslash", "empty", "dot", "dot-dot"])
+def test_simulate_bad_array_id_exit_2(tmp_path, capsys, ids, named):
+    # each id names its array's WAV file inside --out-dir
+    arrays = [dict(spec, id=i) for spec, i in zip(TWIN_ARRAYS, ids)]
+    config = scene_config(tmp_path, arrays=arrays)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", str(config), "--out-dir", str(out)]) \
+        == cli.EXIT_USAGE
+    assert_one_error_line(capsys, str(config), named)
+    assert not out.exists() and not (tmp_path / "escaped.wav").exists()
+
+
+@pytest.mark.parametrize("bounds", [["nan"] * 4, ["0", "0", "inf", "inf"]],
+                         ids=["nan", "inf"])
+def test_eval_non_finite_bounds_exit_2(tmp_path, capsys, bounds):
+    out = tmp_path / "unused"
+    assert cli.main(["eval", "--trials", "1", "--bounds", *bounds,
+                     "--out-dir", str(out)]) == cli.EXIT_USAGE
+    assert_one_error_line(capsys, "bounds must span a finite rectangle")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["aoa", "missing.wav", "missing.json"],
+                                  ["localize", "manifest.json"], ["eval"]],
+                         ids=["aoa", "localize", "eval"])
+def test_strict_paper_mode_is_no_flag(capsys, argv):
+    # the estimate method alone decides how a bearing is computed; a single
+    # window is --num-windows 1
+    assert cli.main(argv + ["--strict-paper-mode"]) == cli.EXIT_USAGE
+    assert "unrecognized arguments: --strict-paper-mode" \
+        in capsys.readouterr().err
 
 
 def test_localize_ambiguous_array_exit_2(tmp_path, capsys):

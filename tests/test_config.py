@@ -156,9 +156,11 @@ def test_invalid_json_names_the_file(tmp_path):
     (("snr_db",), float("nan"), "snr_db"),
     (("snr_db",), -math.inf, "snr_db"),
     (("echoes", 0, "azimuth_offset_deg"), float("nan"), "azimuth_offset_deg"),
+    (("arrays", 0, "id"), "../escaped", "key 'id'"),
+    (("arrays", 1, "id"), "A1", "array id 'A1' is repeated"),
 ], ids=["duration-negative", "signal-kind-null", "source-on-array",
         "tone-zero", "tone-nan", "tone-at-nyquist", "snr-nan", "snr-minus-inf",
-        "echo-azimuth-nan"])
+        "echo-azimuth-nan", "id-outside-out-dir", "id-repeated"])
 def test_scene_range_error_names_the_key(scene_dir, path, value, named):
     with pytest.raises(SceneConfigError) as info:
         hio.parse_scene(substituted(SCENE, path, value), "scene.json",

@@ -31,27 +31,17 @@ def test_config_rejects_bad_solver():
         PipelineConfig(solver="gradient-descent")
 
 
-def test_strict_mode_toggles_only_documented_knobs():
-    def resolved(cfg):
-        names = [f.name for f in fields(cfg) if f.name != "strict_paper_mode"]
-        names += [name for name, value in vars(PipelineConfig).items()
-                  if isinstance(value, property)]
-        return {name: getattr(cfg, name) for name in names}
-
-    strict_cfg = PipelineConfig(strict_paper_mode=True)
-    default = resolved(PipelineConfig())
-    strict = resolved(strict_cfg)
-    changed = {k for k in default if default[k] != strict[k]}
-    assert changed == {"window_count", "weighted_matcher"}
-    assert default["window_count"] == 2
-    assert default["weighted_matcher"] is True
-    assert strict["window_count"] == 1
-    assert strict["weighted_matcher"] is False
-    assert replace(strict_cfg, strict_paper_mode=False) == PipelineConfig()
-    # the resolved values are derived, not settable
-    assert len(fields(PipelineConfig)) == 9
-    with pytest.raises(TypeError):
-        PipelineConfig(window_count=1)
+def test_config_has_eight_settable_fields():
+    # the estimate method alone decides how a bearing is computed: the
+    # config holds its tuning and the fusion's, and no mode switch
+    assert [f.name for f in fields(PipelineConfig)] == [
+        "band_hz", "upsample_factor", "num_windows", "grid_step_deg",
+        "solver", "ransac_threshold_m", "ransac_iterations", "seed"]
+    assert not [name for name, value in vars(PipelineConfig).items()
+                if isinstance(value, property)]
+    for retired in ("strict_paper_mode", "window_count", "weighted_matcher"):
+        with pytest.raises(TypeError):
+            PipelineConfig(**{retired: 1})
 
 
 def test_localize_recordings_three_arrays():
@@ -75,34 +65,14 @@ def test_localize_requires_two_arrays():
                             PipelineConfig(), scene.model)
 
 
-def test_strict_mode_still_localizes():
+def test_single_window_still_localizes():
     arrays = sim.default_array_layout()
     scene = sim.Scene(arrays=arrays, source=(3.5, 1.5), snr_db=25.0, seed=9)
     recs, truth = sim.synthesize(scene)
-    cfg = PipelineConfig(strict_paper_mode=True)
+    cfg = PipelineConfig(num_windows=1)
     result, _ = localize_recordings(recs, list(arrays), AoaMethod.GCC_PLUS,
                                     cfg, scene.model)
     assert float(np.linalg.norm(result.position - truth.source)) < 0.2
-
-
-@pytest.mark.parametrize("solver", pipeline.ALL_SOLVERS)
-def test_fusion_ignores_confidence(solver):
-    # confidence is a diagnostic: bearings fuse as equals, so other
-    # confidences give the same result bit for bit
-    arrays = list(sim.default_array_layout())
-    scene = sim.Scene(arrays=arrays, source=(2.5, 2.0), snr_db=10.0, seed=3,
-                      duration=0.25)
-    recs, _ = sim.synthesize(scene)
-    cfg = PipelineConfig(solver=solver)
-    want, estimates = localize_recordings(recs, arrays, AoaMethod.GCC_PLUS,
-                                          cfg, scene.model)
-    doubted = [replace(e, confidence=c)
-               for e, c in zip(estimates, (1e-6, 0.5, 1.0))]
-    assert [e.confidence for e in doubted] != [e.confidence for e in estimates]
-    got = pipeline.fuse_bearings(arrays, doubted, cfg)
-    for f in fields(want):
-        np.testing.assert_array_equal(getattr(got, f.name),
-                                      getattr(want, f.name), err_msg=f.name)
 
 
 def test_eval_rows_and_summaries_round_trip():
@@ -436,12 +406,13 @@ def constant_a2(recordings):
 
 
 @pytest.mark.parametrize("method", list(AoaMethod), ids=lambda m: m.value)
-@pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
-def test_ambiguous_bearing_is_not_fused(method, strict):
+@pytest.mark.parametrize("num_windows", [PipelineConfig().num_windows, 1],
+                         ids=["default", "single-window"])
+def test_ambiguous_bearing_is_not_fused(method, num_windows):
     arrays = sim.default_array_layout()
     scene = sim.Scene(arrays=arrays, source=(2.5, 2.0), snr_db=20.0, seed=4)
     recs, _ = sim.synthesize(scene)
-    cfg = PipelineConfig(strict_paper_mode=strict)
+    cfg = PipelineConfig(num_windows=num_windows)
     with pytest.raises(AmbiguousEstimateError, match="'A2'") as info:
         localize_recordings(constant_a2(recs), list(arrays), method, cfg,
                             scene.model)
@@ -469,3 +440,11 @@ def test_eval_requires_two_arrays():
     with pytest.raises(ValueError, match="at least two arrays"):
         run_eval(1, (0.5, 0.5, 5.5, 4.5),
                  arrays=sim.default_array_layout()[:1])
+
+
+def test_eval_refuses_repeated_array_ids():
+    # each array is scored against the ground truth under its id
+    first, second, _ = sim.default_array_layout()
+    twin = build_hex_array(second.center, second.orientation, array_id="A1")
+    with pytest.raises(ValueError, match="array id 'A1' is repeated"):
+        run_eval(1, (0.5, 0.5, 5.5, 4.5), arrays=(first, twin))

@@ -35,6 +35,12 @@ def test_scene_validation():
               echoes=((0.01, 1.5, 30.0),))  # gain >= 1
     with pytest.raises(ValueError):
         Scene(arrays=(array,), source=(0.0, 0.0), signal_kind="square")
+    for source in ((math.nan, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="source must be a finite 2D point"):
+            Scene(arrays=(array,), source=source)
+    twin = build_hex_array((6.0, 0.0), 2.0, array_id="T")
+    with pytest.raises(ValueError, match="array id 'T' is repeated"):
+        Scene(arrays=(array, twin), source=(3.0, 2.0))
 
 
 def test_noiseless_delays_match_geometry_to_1e4_samples():
@@ -203,6 +209,15 @@ def test_sample_scenarios_point_bounds():
     scenes = sample_scenarios(1, (point[0], point[1], point[0], point[1]),
                               seed=1)
     assert tuple(scenes[0].source) == point
+
+
+@pytest.mark.parametrize("bounds", [(math.nan,) * 4,
+                                    (0.0, 0.0, math.inf, math.inf),
+                                    (-1e308, 0.0, 1e308, 1.0)],
+                         ids=["nan", "inf", "overflow"])
+def test_sample_scenarios_refuses_infinite_rectangle(bounds):
+    with pytest.raises(ValueError, match="bounds must span a finite rectangle"):
+        sample_scenarios(1, bounds)
 
 
 def test_sample_scenarios_infeasible_rejected():
