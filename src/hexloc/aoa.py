@@ -232,10 +232,7 @@ def estimate_aoa_music(rec: MultichannelRecording, array: MicArray,
     averaged non-coherently across bins. A flat spectrum or a peak below
     twice the median raise AmbiguousEstimateError.
     """
-    if rec.num_channels != array.num_elements:
-        raise ValueError(
-            f"recording has {rec.num_channels} channels, "
-            f"array {array.id!r} has {array.num_elements} elements")
+    geometry.check_channels(array, rec.num_channels)
     if not np.any(rec.samples):
         raise NoSignalError("recording is all zeros")
 

@@ -35,6 +35,13 @@ class PropagationModel:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
 
 
+def check_id(array_id) -> None:
+    """Refuse an id that is not a plain file name; it names a WAV file."""
+    if not isinstance(array_id, str) or array_id in ("", ".", "..") \
+            or any(c in array_id for c in "/\\\0"):
+        raise ValueError(f"array id must be a plain file name, got {array_id!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class MicArray:
     """A six-element hexagonal microphone array posed on the 2D floor plane.
@@ -53,6 +60,7 @@ class MicArray:
     elements: np.ndarray = None
 
     def __post_init__(self):
+        check_id(self.id)
         if self.elements is None or len(self.elements) != self.num_elements:
             raise ValueError("elements must hold exactly num_elements positions")
 
@@ -69,6 +77,23 @@ class MicArray:
     def __hash__(self):
         # tolist() gives Python floats, which hash -0.0 and 0.0 alike
         return hash(self._scalars() + tuple(np.ravel(self.center).tolist()))
+
+
+def check_distinct_ids(arrays) -> None:
+    """Refuse arrays that share an id, which names one array's results."""
+    seen = set()
+    for array in arrays:
+        if array.id in seen:
+            raise ValueError(f"array id {array.id!r} is repeated")
+        seen.add(array.id)
+
+
+def check_channels(array: MicArray, num_channels: int) -> None:
+    """Refuse a recording with other than one channel per array element."""
+    if num_channels != array.num_elements:
+        raise ValueError(
+            f"recording has {num_channels} channels, "
+            f"array {array.id!r} has {array.num_elements} elements")
 
 
 def build_hex_array(center, orientation: float = 0.0,

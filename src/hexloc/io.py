@@ -203,9 +203,20 @@ def _propagation_model(config: dict, context: str) -> PropagationModel:
     return PropagationModel(*values)
 
 
+def _id_rule(check, value, context: str):
+    """``value``, unless the geometry id rule ``check`` refuses it; the
+    error then names the file and the key."""
+    try:
+        check(value)
+    except ValueError as exc:
+        raise SceneConfigError(f"key 'id' in {context}: {exc}") from None
+    return value
+
+
 def parse_array(entry: dict, context: str = "array entry") -> MicArray:
     _typed(entry, dict, context)
-    array_id = str(_require(entry, "id", context))
+    array_id = _id_rule(geometry.check_id, _require(entry, "id", context, str),
+                        context)
     center = _point(entry, "center_m", context)
     orientation = _number(entry, "orientation_rad", context)
     side = _number(entry, "side_length_m", context, geometry.HEX_SIDE_M)
@@ -220,20 +231,14 @@ def load_array_spec(path) -> MicArray:
     return parse_array(_load_json(path), context=str(path))
 
 
-def _distinct(arrays, context: str):
-    """The arrays, unless two of them share an id."""
-    if (repeated := sim.repeated_id(arrays)) is not None:
-        raise SceneConfigError(f"array id {repeated!r} is repeated in {context}")
-    return arrays
-
-
 def load_arrays(path) -> tuple[MicArray, ...]:
     """The array specs of a file that holds a JSON list of them."""
     entries = _typed(_load_json(path), list, str(path))
     if not entries:
         raise SceneConfigError(f"{path} lists no array spec")
-    return _distinct(tuple(parse_array(a, f"{path}[{k}]")
-                           for k, a in enumerate(entries)), str(path))
+    return _id_rule(geometry.check_distinct_ids,
+                    tuple(parse_array(a, f"{path}[{k}]")
+                          for k, a in enumerate(entries)), str(path))
 
 
 def _echo(entry, context: str) -> Echo:
@@ -252,12 +257,7 @@ def parse_scene(config: dict, context: str = "scene config",
     arrays = tuple(parse_array(a, f"{context}.arrays[{k}]")
                    for k, a in enumerate(raw_arrays))
     source = _point(config, "source_m", context)
-    for k, array in enumerate(arrays):
-        # the id names the array's WAV file in the output directory
-        if array.id in ("", ".", "..") or "/" in array.id or "\\" in array.id:
-            raise SceneConfigError(
-                f"key 'id' must be a plain file name in {context}.arrays[{k}], "
-                f"got {array.id!r}")
+    for array in arrays:
         if np.allclose(source, array.center):
             raise SceneConfigError(
                 f"key 'source_m' in {context}: source coincides with array "
@@ -371,4 +371,5 @@ def load_manifest(path) -> tuple[list[MicArray], list[Path],
         wavs.append(path.parent / _require(entry, "wav", context, str))
     model = _propagation_model(manifest, str(path))
     declared = model.sample_rate if "sample_rate_hz" in manifest else None
-    return _distinct(arrays, str(path)), wavs, model, declared
+    return (_id_rule(geometry.check_distinct_ids, arrays, str(path)), wavs,
+            model, declared)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import aoa, dsp, localize, sim, tdoa
+from . import aoa, dsp, geometry, localize, sim, tdoa
 from ._tasks import map_tasks
 from .aoa import AoaEstimate, AoaMethod, AoaSpectrum, circular_error_deg
 from .dsp import MultichannelRecording
@@ -101,13 +101,14 @@ def localize_recordings(recs: list[MultichannelRecording],
                         config: PipelineConfig | None = None,
                         model: PropagationModel | None = None
                         ) -> tuple[LocalizationResult, list[AoaEstimate]]:
-    """Per-array AoA estimation, the arrays concurrently, followed by
-    bearing fusion. The first array, in order, whose estimator gives up
-    raises its error, AmbiguousEstimateError naming the array included."""
+    """Per-array AoA estimation of arrays with distinct ids, concurrently,
+    then bearing fusion. The first array, in order, whose estimator gives
+    up raises its error, AmbiguousEstimateError naming the array included."""
     if config is None:
         config = PipelineConfig()
     if len(recs) != len(arrays) or len(arrays) < 2:
         raise ValueError("need matching recordings for at least two arrays")
+    geometry.check_distinct_ids(arrays)
     estimates = map_tasks(
         lambda job: estimate_recording_aoa(*job, method, config, model)[1],
         zip(recs, arrays))

@@ -63,8 +63,7 @@ class Scene:
                            tuple(Echo(*e) for e in self.echoes))
         if not self.arrays:
             raise ValueError("scene needs at least one array")
-        if (repeated := repeated_id(self.arrays)) is not None:
-            raise ValueError(f"array id {repeated!r} is repeated")
+        geometry.check_distinct_ids(self.arrays)
         if self.source.shape != (2,) or not np.all(np.isfinite(self.source)):
             raise ValueError(f"source must be a finite 2D point, "
                              f"got {self.source}")
@@ -307,12 +306,6 @@ def sample_scenarios(n: int, bounds: tuple[float, float, float, float],
                             snr_db=snr_db, echoes=echoes,
                             seed=int(rng.integers(0, 2 ** 31))))
     return scenes
-
-
-def repeated_id(arrays) -> str | None:
-    """The first array id that an earlier array already has, or None."""
-    ids = [a.id for a in arrays]
-    return next((i for k, i in enumerate(ids) if i in ids[:k]), None)
 
 
 def default_array_layout() -> tuple[MicArray, ...]:

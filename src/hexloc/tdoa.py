@@ -217,10 +217,7 @@ def expand_delay_features(rec: MultichannelRecording, array: MicArray,
     stacked across ``num_windows`` windows into a single feature vector.
     Per-pair max-lag gating rejects physically impossible delays.
     """
-    if rec.num_channels != array.num_elements:
-        raise ValueError(
-            f"recording has {rec.num_channels} channels, "
-            f"array {array.id!r} has {array.num_elements} elements")
+    geometry.check_channels(array, rec.num_channels)
     if num_windows < 1:
         raise ValueError(f"num_windows must be >= 1, got {num_windows}")
     window_len = rec.num_samples // num_windows

@@ -534,7 +534,12 @@ def test_localize_repeated_array_id_exit_2(tmp_path, capsys):
     (("", "A2"), "key 'id'"),
     ((".", "A2"), "key 'id'"),
     (("..", "A2"), "key 'id'"),
-], ids=["repeated", "parent", "slash", "backslash", "empty", "dot", "dot-dot"])
+    (("A\0", "A2"), "key 'id'"),
+    ((None, "A2"), "key 'id'"),
+    ((5, "A2"), "key 'id'"),
+    (({"x": 1}, "A2"), "key 'id'"),
+], ids=["repeated", "parent", "slash", "backslash", "empty", "dot", "dot-dot",
+        "nul", "null", "number", "object"])
 def test_simulate_bad_array_id_exit_2(tmp_path, capsys, ids, named):
     # each id names its array's WAV file inside --out-dir
     arrays = [dict(spec, id=i) for spec, i in zip(TWIN_ARRAYS, ids)]

@@ -158,9 +158,14 @@ def test_invalid_json_names_the_file(tmp_path):
     (("echoes", 0, "azimuth_offset_deg"), float("nan"), "azimuth_offset_deg"),
     (("arrays", 0, "id"), "../escaped", "key 'id'"),
     (("arrays", 1, "id"), "A1", "array id 'A1' is repeated"),
+    (("arrays", 0, "id"), "A\0", "key 'id'"),
+    (("arrays", 0, "id"), None, "key 'id'"),
+    (("arrays", 0, "id"), 5, "key 'id'"),
+    (("arrays", 0, "id"), {"x": 1}, "key 'id'"),
 ], ids=["duration-negative", "signal-kind-null", "source-on-array",
         "tone-zero", "tone-nan", "tone-at-nyquist", "snr-nan", "snr-minus-inf",
-        "echo-azimuth-nan", "id-outside-out-dir", "id-repeated"])
+        "echo-azimuth-nan", "id-outside-out-dir", "id-repeated", "id-nul",
+        "id-null", "id-number", "id-object"])
 def test_scene_range_error_names_the_key(scene_dir, path, value, named):
     with pytest.raises(SceneConfigError) as info:
         hio.parse_scene(substituted(SCENE, path, value), "scene.json",

@@ -1,7 +1,9 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hexloc import geometry, io as hio
 from hexloc.geometry import (MicArray, PropagationModel, build_hex_array,
@@ -50,6 +52,25 @@ def test_build_rejects_bad_inputs():
         build_hex_array((math.nan, 0.0), 0.0)
     with pytest.raises(ValueError):
         build_hex_array((0.0, 0.0), math.inf)
+
+
+@pytest.mark.parametrize("array_id", [
+    None, 5, b"A1", "", ".", "..", "../escaped", "sub/A1", "sub\\A1", "A\0"])
+def test_build_rejects_ids_that_are_not_plain_file_names(array_id):
+    # the id names the array's WAV file inside an output directory
+    with pytest.raises(ValueError, match="plain file name"):
+        build_hex_array((0.0, 0.0), array_id=array_id)
+
+
+@settings(max_examples=200, deadline=None)
+@given(array_id=st.text())
+def test_an_accepted_id_names_a_file_inside_the_directory(array_id):
+    out = Path("out")
+    try:
+        build_hex_array((0.0, 0.0), array_id=array_id)
+    except ValueError:
+        return
+    assert (out / f"{array_id}.wav").parent == out and "\0" not in array_id
 
 
 def test_mic_array_requires_all_elements():

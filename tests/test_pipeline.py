@@ -65,6 +65,21 @@ def test_localize_requires_two_arrays():
                             PipelineConfig(), scene.model)
 
 
+def test_localize_refuses_repeated_ids_before_estimating(monkeypatch):
+    # each array's bearing and result row are told apart by its id
+    a1, _, a3 = sim.default_array_layout()
+    scene = sim.Scene(arrays=(a1, a3), source=(2.5, 2.0), seed=1,
+                      duration=0.25)
+    (r1, r3), _ = sim.synthesize(scene)
+
+    def not_called(*args):
+        raise AssertionError("an estimate ran")
+
+    monkeypatch.setattr(pipeline, "estimate_recording_aoa", not_called)
+    with pytest.raises(ValueError, match="array id 'A1' is repeated"):
+        localize_recordings([r1, r3, r1], [a1, a3, a1])
+
+
 def test_single_window_still_localizes():
     arrays = sim.default_array_layout()
     scene = sim.Scene(arrays=arrays, source=(3.5, 1.5), snr_db=25.0, seed=9)
