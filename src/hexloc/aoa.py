@@ -153,8 +153,8 @@ def estimate_aoa_gcc(delays: DelayVector, array: MicArray,
         raise ValueError("the delay matcher runs gcc+ or gcc-phat, not music")
     angles_deg = _azimuth_grid(grid_step_deg)
     grid_rad = np.deg2rad(angles_deg)
-    predicted = np.stack([geometry.predicted_pair_delay(array, p, grid_rad, model)
-                          for p in delays.pairs])   # (pairs, angles)
+    predicted = geometry.predicted_pair_delay(array, delays.pairs, grid_rad,
+                                              model)  # (pairs, angles)
     w = np.maximum(delays.peak_scores, 0.0) if method is AoaMethod.GCC_PLUS \
         else np.ones(delays.delays.shape)
     total = w.sum()

@@ -186,15 +186,10 @@ def _band_filter(fs: float, low_hz: float, high_hz: float,
         (STOPBAND_ATTEN_DB - 7.95) / 2.285 / (np.pi * (width / nyq)) + 1)
     ntaps += (ntaps + 1) % 2  # odd length: integer group delay, type I
     # firwin is looked up as a module global on each design, with
-    # scipy.signal.firwin's arguments, so it can be counted or swapped
-    if low_hz <= 0.0:
-        taps = firwin(ntaps, high_hz, window=("kaiser", beta), fs=fs)
-    elif high_hz >= nyq:
-        taps = firwin(ntaps, low_hz, window=("kaiser", beta),
-                      pass_zero=False, fs=fs)
-    else:
-        taps = firwin(ntaps, [low_hz, high_hz], window=("kaiser", beta),
-                      pass_zero=False, fs=fs)
+    # scipy.signal.firwin's arguments, so it can be counted or swapped. An
+    # edge at DC or Nyquist is no cutoff: the band reaches that end
+    taps = firwin(ntaps, [f for f in (low_hz, high_hz) if 0.0 < f < nyq],
+                  window=("kaiser", beta), pass_zero=low_hz <= 0.0, fs=fs)
     size = next_fast_len(n + ntaps - 1, True)
     response = rfft(taps, size)
     response.flags.writeable = False

@@ -10,7 +10,7 @@ hexagon side length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -42,41 +42,48 @@ def check_id(array_id) -> None:
         raise ValueError(f"array id must be a plain file name, got {array_id!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MicArray:
     """A six-element hexagonal microphone array posed on the 2D floor plane.
 
-    ``elements`` holds global positions in meters, shape (num_elements, 2).
-    Instances are treated as immutable; build them with :func:`build_hex_array`.
-    Two arrays are equal when every field is, the position arrays compared
-    element by element, so arrays can be set members and dictionary keys.
+    The pose is the array's whole geometry: ``center`` (a tuple of two
+    floats, meters), ``orientation`` (radians) and ``side_length`` (meters).
+    Element k sits at center + side_length * (cos(orientation + k*60deg),
+    sin(orientation + k*60deg)); the circumradius of a regular hexagon
+    equals its side length. ``elements`` holds these global positions as a
+    read-only (6, 2) array derived from the pose, so two arrays with equal
+    poses are equal, hash alike and can be set members and dictionary keys.
     """
 
     id: str
-    center: np.ndarray
+    center: tuple[float, float]
     orientation: float
     side_length: float = HEX_SIDE_M
-    num_elements: int = NUM_ELEMENTS
-    elements: np.ndarray = None
+    elements: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_id(self.id)
-        if self.elements is None or len(self.elements) != self.num_elements:
-            raise ValueError("elements must hold exactly num_elements positions")
+        center = np.asarray(self.center, dtype=float)
+        if center.shape != (2,) or not np.all(np.isfinite(center)):
+            raise ValueError(f"center must be a finite 2D point, got {self.center!r}")
+        orientation, side = float(self.orientation), float(self.side_length)
+        if not math.isfinite(orientation):
+            raise ValueError(f"orientation must be finite, got {orientation}")
+        if not (math.isfinite(side) and side > 0):
+            raise ValueError(
+                f"side_length must be a finite positive number, got {side}")
+        angles = orientation + np.arange(NUM_ELEMENTS) * (math.pi / 3.0)
+        elements = center + side * np.stack([np.cos(angles), np.sin(angles)],
+                                            axis=1)
+        elements.flags.writeable = False
+        object.__setattr__(self, "center", tuple(center.tolist()))
+        object.__setattr__(self, "orientation", orientation)
+        object.__setattr__(self, "side_length", side)
+        object.__setattr__(self, "elements", elements)
 
-    def _scalars(self) -> tuple:
-        return (self.id, self.orientation, self.side_length, self.num_elements)
-
-    def __eq__(self, other):
-        if not isinstance(other, MicArray):
-            return NotImplemented
-        return self._scalars() == other._scalars() \
-            and np.array_equal(self.center, other.center) \
-            and np.array_equal(self.elements, other.elements)
-
-    def __hash__(self):
-        # tolist() gives Python floats, which hash -0.0 and 0.0 alike
-        return hash(self._scalars() + tuple(np.ravel(self.center).tolist()))
+    @property
+    def num_elements(self) -> int:
+        return len(self.elements)
 
 
 def check_distinct_ids(arrays) -> None:
@@ -99,23 +106,8 @@ def check_channels(array: MicArray, num_channels: int) -> None:
 def build_hex_array(center, orientation: float = 0.0,
                     side_length: float = HEX_SIDE_M,
                     array_id: str = "array") -> MicArray:
-    """Place a regular hexagon of microphones around ``center``.
-
-    Element k sits at center + side_length * (cos(orientation + k*60deg),
-    sin(orientation + k*60deg)); the circumradius of a regular hexagon equals
-    its side length.
-    """
-    center = np.asarray(center, dtype=float)
-    if center.shape != (2,) or not np.all(np.isfinite(center)):
-        raise ValueError(f"center must be a finite 2D point, got {center!r}")
-    if not (math.isfinite(orientation) and math.isfinite(side_length)):
-        raise ValueError("orientation and side_length must be finite")
-    if side_length <= 0:
-        raise ValueError(f"side_length must be positive, got {side_length}")
-    angles = orientation + np.arange(NUM_ELEMENTS) * (math.pi / 3.0)
-    offsets = side_length * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return MicArray(id=array_id, center=center, orientation=float(orientation),
-                    side_length=float(side_length), elements=center + offsets)
+    """The :class:`MicArray` posed at ``center``, spelled centre first."""
+    return MicArray(array_id, center, orientation, side_length)
 
 
 def mic_pairs(num_elements: int = NUM_ELEMENTS) -> list[tuple[int, int]]:
@@ -144,25 +136,37 @@ def element_delays(array: MicArray, azimuth, model: PropagationModel):
     return -(rel @ u) / model.speed_of_sound
 
 
-def predicted_pair_delay(array: MicArray, pair: tuple[int, int], azimuth,
+def _pair_offsets(array: MicArray, pairs) -> np.ndarray:
+    """p_i - p_j: shape (2,) for one pair (i, j), (pairs, 2) for a list."""
+    first, second = np.moveaxis(np.asarray(pairs), -1, 0)
+    if np.any(first == second):
+        raise ValueError("pair must reference two distinct elements")
+    return array.elements[first] - array.elements[second]
+
+
+def predicted_pair_delay(array: MicArray, pairs, azimuth,
                          model: PropagationModel):
-    """Far-field TDoA for one element pair at the given azimuth(s).
+    """Far-field TDoA of one element pair (i, j), or of each of a list of
+    pairs, at the given azimuth(s).
 
     Returns u(azimuth) . (p_i - p_j) / c, positive when element i hears the
-    wavefront first (element i leads). Antisymmetric under pair swap.
+    wavefront first (element i leads). Antisymmetric under pair swap. A
+    list of pairs adds a leading pair axis, each row bit-identical to that
+    pair's own call.
     """
-    i, j = pair
-    if i == j:
-        raise ValueError("pair must reference two distinct elements")
-    diff = array.elements[i] - array.elements[j]
+    offsets = _pair_offsets(array, pairs)
     u = unit_direction(azimuth)
-    return (diff @ u) / model.speed_of_sound
+    # a (1, 2) row per pair keeps each row's product the one-pair product
+    delays = offsets @ u if offsets.ndim == 1 else (offsets[:, None] @ u)[:, 0]
+    return delays / model.speed_of_sound
 
 
-def pair_baseline(array: MicArray, pair: tuple[int, int]) -> float:
-    """Distance in meters between the two elements of a pair."""
-    i, j = pair
-    return float(np.linalg.norm(array.elements[i] - array.elements[j]))
+def pair_baseline(array: MicArray, pairs):
+    """Distance in meters between the two elements of a pair: a float for
+    one pair (i, j), an array with one distance per pair for a list."""
+    offsets = _pair_offsets(array, pairs)
+    baselines = np.sqrt(np.vecdot(offsets, offsets))
+    return float(baselines) if offsets.ndim == 1 else baselines
 
 
 def spatial_resolution(model: PropagationModel) -> float:

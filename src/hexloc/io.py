@@ -189,18 +189,26 @@ def _point(obj: dict, key: str, context: str) -> tuple[float, float]:
         f"got {reprlib.repr(raw)}")
 
 
+def _finite(obj: dict, key: str, context: str, default=None,
+            positive: bool = False) -> float:
+    """A finite number, above zero when ``positive``; any other value
+    names its key."""
+    value = _number(obj, key, context, default)
+    if not math.isfinite(value) or positive and value <= 0:
+        kind = "finite positive" if positive else "finite"
+        raise SceneConfigError(
+            f"key '{key}' must be a {kind} number in {context}, got {value!r}")
+    return value
+
+
 def _propagation_model(config: dict, context: str) -> PropagationModel:
     """Speed of sound and sample rate from the optional keys of a scene or
-    manifest; a value that is not a finite positive number names its key."""
-    values = []
-    for key, default in (("speed_of_sound_m_s", geometry.SPEED_OF_SOUND_M_S),
-                         ("sample_rate_hz", geometry.SAMPLE_RATE_HZ)):
-        value = _number(config, key, context, default)
-        if not (math.isfinite(value) and value > 0):
-            raise SceneConfigError(
-                f"key '{key}' must be a positive number in {context}, got {value!r}")
-        values.append(value)
-    return PropagationModel(*values)
+    manifest."""
+    return PropagationModel(
+        _finite(config, "speed_of_sound_m_s", context,
+                geometry.SPEED_OF_SOUND_M_S, positive=True),
+        _finite(config, "sample_rate_hz", context, geometry.SAMPLE_RATE_HZ,
+                positive=True))
 
 
 def _id_rule(check, value, context: str):
@@ -217,14 +225,10 @@ def parse_array(entry: dict, context: str = "array entry") -> MicArray:
     _typed(entry, dict, context)
     array_id = _id_rule(geometry.check_id, _require(entry, "id", context, str),
                         context)
-    center = _point(entry, "center_m", context)
-    orientation = _number(entry, "orientation_rad", context)
-    side = _number(entry, "side_length_m", context, geometry.HEX_SIDE_M)
-    try:
-        return geometry.build_hex_array(center, orientation, side, array_id)
-    except ValueError as exc:
-        raise SceneConfigError(
-            f"invalid array {array_id!r} in {context}: {exc}") from exc
+    return MicArray(array_id, _point(entry, "center_m", context),
+                    _finite(entry, "orientation_rad", context),
+                    _finite(entry, "side_length_m", context,
+                            geometry.HEX_SIDE_M, positive=True))
 
 
 def load_array_spec(path) -> MicArray:
@@ -291,11 +295,8 @@ def parse_scene(config: dict, context: str = "scene config",
                    for k, e in enumerate(raw_echoes))
     snr_db = math.inf if config.get("snr_db") is None \
         else _number(config, "snr_db", context)
-    duration = _number(config, "duration_s", context, sim.DEFAULT_DURATION_S)
-    if not (math.isfinite(duration) and duration > 0):
-        raise SceneConfigError(
-            f"key 'duration_s' must be a positive number in {context}, "
-            f"got {duration!r}")
+    duration = _finite(config, "duration_s", context, sim.DEFAULT_DURATION_S,
+                       positive=True)
     seed = config.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise SceneConfigError(

@@ -259,24 +259,17 @@ def solve_irls(lines: list[BearingLine]) -> LocalizationResult:
     """
     lines = _check_lines(lines)
     stack = _Lines.of(lines)
-    start = solve_mle(lines)
-    position = start.position
-    weights = np.ones(len(lines))
-    flag = start.condition_flag
-    iterations = 0
+    position = solve_mle(lines).position
     converged = False
-    for _ in range(IRLS_MAX_ITER):
+    for iterations in range(1, IRLS_MAX_ITER + 1):
         residuals = _distances(stack, position)
         weights = 1.0 / np.maximum(residuals, IRLS_RESIDUAL_FLOOR_M)
         new_position, m = _weighted_normal_solve(stack, weights)
-        iterations += 1
         moved = float(np.linalg.norm(new_position - position))
         position = new_position
         if moved < IRLS_TOL_M:
             converged = True
             break
-    if iterations:  # the flag of the last solve
-        flag = _ill_conditioned(m)
     return _finish(stack, position, "irls", weights=tuple(weights),
-                   iterations=iterations, condition_flag=flag,
+                   iterations=iterations, condition_flag=_ill_conditioned(m),
                    converged=converged)

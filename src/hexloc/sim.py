@@ -234,8 +234,15 @@ def synthesize(scene: Scene) -> tuple[list[MultichannelRecording], GroundTruth]:
     # three-array render took ≈17k page faults, ≈3k with the one buffer)
     noise = np.empty((sum(a.num_elements for a in scene.arrays), length)) \
         if np.isfinite(scene.snr_db) else None
-    azimuths: dict[str, float] = {}
-    delays: dict[str, dict[tuple[int, int], float]] = {}
+    azimuths = [geometry.azimuth_to(a, scene.source) for a in scene.arrays]
+    pairs = geometry.mic_pairs()
+    truth = GroundTruth(
+        source=scene.source.copy(),
+        azimuth_deg={a.id: math.degrees(az)
+                     for a, az in zip(scene.arrays, azimuths)},
+        pair_delays={a.id: dict(zip(pairs, geometry.predicted_pair_delay(
+                         a, pairs, az, model).tolist()))
+                     for a, az in zip(scene.arrays, azimuths)})
 
     def jobs():
         # every random draw, in the serial order: per array its start
@@ -243,13 +250,7 @@ def synthesize(scene: Scene) -> tuple[list[MultichannelRecording], GroundTruth]:
         # drawn and waits for its noise only to add it, so the draws here
         # run beside the renders (the Generator releases the GIL)
         first_row = 0
-        for array in scene.arrays:
-            azimuth = geometry.azimuth_to(array, scene.source)
-            azimuths[array.id] = math.degrees(azimuth)
-            delays[array.id] = {
-                pair: float(geometry.predicted_pair_delay(array, pair,
-                                                          azimuth, model))
-                for pair in geometry.mic_pairs(array.num_elements)}
+        for array, azimuth in zip(scene.arrays, azimuths):
             offset = base_s + rng.uniform(0.0, MAX_START_OFFSET_S)
             rows = None if noise is None \
                 else noise[first_row:first_row + array.num_elements]
@@ -264,9 +265,6 @@ def synthesize(scene: Scene) -> tuple[list[MultichannelRecording], GroundTruth]:
 
     recordings = map_tasks(
         lambda job: _render_array(scene, spectrum, nfft, length, *job), jobs())
-
-    truth = GroundTruth(source=scene.source.copy(), azimuth_deg=azimuths,
-                        pair_delays=delays)
     return recordings, truth
 
 

@@ -177,7 +177,8 @@ def estimate_pair_delay(rec: MultichannelRecording, max_lag: float,
 
     Positive delay means channel 1 leads. The search is restricted to
     |lag| <= max_lag; choose max_lag from the pair baseline
-    (baseline / c * 1.2) when geometry is known. Pass ``band_hz`` for
+    (``geometry.pair_baseline`` / c * ``MAX_LAG_SLACK``) when geometry is
+    known. Pass ``band_hz`` for
     band-limited content so whitening ignores empty bins. The result is
     labelled pair (0, 1), window 0.
     """
@@ -191,18 +192,6 @@ def estimate_pair_delay(rec: MultichannelRecording, max_lag: float,
         [max_lag], upsample_factor, refine, band_hz)
     # fields in order: pair, delay, peak score, window, low confidence
     return PairDelay((0, 1), float(delay), float(score), 0, not concave)
-
-
-def default_max_lag(array: MicArray,
-                    pairs: tuple[int, int] | list[tuple[int, int]],
-                    model: PropagationModel):
-    """Physically feasible lag bound, baseline / c times slack: a float for
-    one pair (i, j), an array of bounds for a list of pairs."""
-    first, second = np.asarray(pairs).T
-    baselines = array.elements[first] - array.elements[second]
-    # vecdot rounds each squared length as geometry.pair_baseline's norm does
-    return np.sqrt(np.vecdot(baselines, baselines)) \
-        / model.speed_of_sound * MAX_LAG_SLACK
 
 
 def expand_delay_features(rec: MultichannelRecording, array: MicArray,
@@ -239,6 +228,7 @@ def expand_delay_features(rec: MultichannelRecording, array: MicArray,
     delays, scores, concave = _pair_delays(
         dsp.real_spectrum(MultichannelRecording(rows, rec.sample_rate), nfft),
         first * num_windows + windows, second * num_windows + windows,
-        default_max_lag(array, pairs, model), upsample_factor, refine, band_hz)
+        geometry.pair_baseline(array, pairs) / model.speed_of_sound
+        * MAX_LAG_SLACK, upsample_factor, refine, band_hz)
     # fields in order: pairs, delays, peak scores, low confidence, array
     return DelayVector(tuple(pairs), delays, scores, ~concave, array.id)

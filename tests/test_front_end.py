@@ -12,7 +12,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 import oracles
-from hexloc import dsp, sim, tdoa
+from hexloc import dsp, geometry, sim, tdoa
 from hexloc.dsp import MultichannelRecording
 from hexloc.geometry import PropagationModel, build_hex_array, mic_pairs
 
@@ -162,7 +162,8 @@ def test_pair_delay_is_the_expansion_entry():
         i, j = entry.pair
         single = tdoa.estimate_pair_delay(
             MultichannelRecording(rec.samples[[i, j]], FS),
-            tdoa.default_max_lag(array, entry.pair, model),
+            geometry.pair_baseline(array, entry.pair) / model.speed_of_sound
+            * tdoa.MAX_LAG_SLACK,
             upsample_factor=up, band_hz=BAND)
         assert single.window_index == entry.window_index == 0
         assert single.low_confidence == entry.low_confidence

@@ -73,10 +73,31 @@ def test_an_accepted_id_names_a_file_inside_the_directory(array_id):
     assert (out / f"{array_id}.wav").parent == out and "\0" not in array_id
 
 
-def test_mic_array_requires_all_elements():
+@pytest.mark.parametrize("pose, message", [
+    (dict(center=(math.nan, 0.0)), "center must be a finite 2D point"),
+    (dict(center=(0.0, 0.0, 0.0)), "center must be a finite 2D point"),
+    (dict(orientation=math.inf), "orientation must be finite"),
+    (dict(orientation=math.nan), "orientation must be finite"),
+    (dict(side_length=0.0), "side_length must be a finite positive number"),
+    (dict(side_length=-1.0), "side_length must be a finite positive number"),
+    (dict(side_length=math.inf), "side_length must be a finite positive number"),
+], ids=["center-nan", "center-3d", "orientation-inf", "orientation-nan",
+        "side-zero", "side-negative", "side-inf"])
+def test_mic_array_refuses_a_bad_pose(pose, message):
+    # the constructor itself holds the pose rules, not only build_hex_array
+    with pytest.raises(ValueError, match=message):
+        MicArray(**{"id": "A1", "center": (0.0, 0.0), "orientation": 0.0,
+                    **pose})
+
+
+def test_mic_array_elements_are_read_only():
+    array = MicArray("A1", (1.0, 2.0), 0.3)
+    assert isinstance(array.center, tuple)
     with pytest.raises(ValueError):
-        MicArray(id="x", center=np.zeros(2), orientation=0.0,
-                 elements=np.zeros((3, 2)))
+        array.elements[0, 0] = 5.0
+    np.testing.assert_array_equal(array.elements,
+                                  build_hex_array((1.0, 2.0), 0.3,
+                                                  array_id="A1").elements)
 
 
 def test_mic_array_value_equality_and_hash():
@@ -89,9 +110,7 @@ def test_mic_array_value_equality_and_hash():
     for other in (build_hex_array((0.0, 1e-9)),
                   build_hex_array((0.0, 0.0), orientation=0.1),
                   build_hex_array((0.0, 0.0), side_length=0.05),
-                  build_hex_array((0.0, 0.0), array_id="B"),
-                  MicArray(id="array", center=np.zeros(2), orientation=0.0,
-                           elements=a.elements + 1e-12)):
+                  build_hex_array((0.0, 0.0), array_id="B")):
         assert a != other
     assert a != "array"
     assert {a, same, build_hex_array((1.0, 0.0))} == {a, build_hex_array((1.0, 0.0))}
@@ -101,6 +120,43 @@ def test_mic_array_value_equality_and_hash():
 def test_mic_array_json_round_trip_is_equal():
     a = build_hex_array((2.5, -1.25), 0.7, 0.05, array_id="A7")
     assert hio.parse_array(hio.array_to_json(a)) == a
+
+
+FINITE = st.floats(-1e6, 1e6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=FINITE, y=FINITE, orientation=FINITE,
+       side=st.floats(1e-6, 1e3))
+def test_any_valid_pose_round_trips_through_json(x, y, orientation, side):
+    a = MicArray("A1", (x, y), orientation, side)
+    back = hio.parse_array(hio.array_to_json(a))
+    assert back == a and hash(back) == hash(a)
+    assert back.elements.tobytes() == a.elements.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=FINITE, y=FINITE, orientation=st.floats(-10.0, 10.0),
+       side=st.floats(1e-3, 1.0), azimuth=st.floats(-10.0, 10.0))
+def test_pair_geometry_over_a_list_is_each_pair_bit_for_bit(
+        x, y, orientation, side, azimuth):
+    array = build_hex_array((x, y), orientation, side)
+    model = PropagationModel()
+    pairs = mic_pairs()
+    grid = np.deg2rad(np.arange(0.0, 360.0))
+    for az in (grid, azimuth):
+        batch = predicted_pair_delay(array, pairs, az, model)
+        assert batch.shape == (len(pairs),) + np.shape(az)
+        for row, pair in zip(batch, pairs):
+            assert row.tobytes() == np.asarray(
+                predicted_pair_delay(array, pair, az, model)).tobytes()
+    baselines = pair_baseline(array, pairs)
+    assert baselines.tolist() == [pair_baseline(array, p) for p in pairs]
+    delays = predicted_pair_delay(array, pairs, azimuth, model)
+    for delay, (i, j) in zip(delays, pairs):
+        assert delay == pytest.approx(oracles.plane_wave_pair_delay(
+            array.elements[i], array.elements[j], azimuth,
+            model.speed_of_sound), rel=0, abs=1e-15)
 
 
 def test_pair_delay_along_baseline():
