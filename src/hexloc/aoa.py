@@ -189,9 +189,7 @@ def covariance_stack(rec: MultichannelRecording,
     """Spatial covariance matrices on ``MUSIC_NUM_BINS`` frequency bins sampled
     uniformly inside the band, from 50%-overlap Hann STFT snapshots."""
     low, high = band_hz
-    nyq = rec.sample_rate / 2.0
-    if not (0.0 <= low < high <= nyq):
-        raise ValueError(f"band [{low}, {high}] outside (0, {nyq}]")
+    dsp.check_band(low, high, rec.sample_rate)
     if rec.num_samples < MUSIC_FRAME:
         raise ValueError(f"recording shorter than one {MUSIC_FRAME}-sample frame")
 

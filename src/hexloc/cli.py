@@ -64,9 +64,6 @@ def _add_fusion_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--solver", choices=ALL_SOLVERS, default=default.solver)
     parser.add_argument("--ransac-threshold-m", type=float,
                         default=default.ransac_threshold_m)
-    parser.add_argument("--ransac-iterations", type=int,
-                        default=default.ransac_iterations)
-    parser.add_argument("--seed", type=int, default=default.seed)
 
 
 def cmd_simulate(args) -> int:
@@ -181,6 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar=("DELAY_S", "GAIN", "OFFSET_DEG"))
     p_eval.add_argument("--arrays", default=None,
                         help="JSON list of array specs")
+    p_eval.add_argument("--seed", type=int, default=PipelineConfig().seed)
     p_eval.add_argument("--out-dir", default=None)
     _add_estimator_flags(p_eval)
     _add_fusion_flags(p_eval)

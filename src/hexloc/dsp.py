@@ -129,6 +129,13 @@ def inverse_real_spectrum(spectrum: Spectrum) -> np.ndarray:
     return irfft(bins, n=n)
 
 
+def check_band(low_hz: float, high_hz: float, fs: float) -> None:
+    """Refuse a band that is not ``0 <= low < high <= fs / 2``."""
+    if not 0.0 <= low_hz < high_hz <= fs / 2.0:
+        raise ValueError(f"band edges must satisfy 0 <= low < high <= "
+                         f"{fs / 2.0}, got [{low_hz}, {high_hz}]")
+
+
 def bandpass(signal: MultichannelRecording, low_hz: float,
              high_hz: float) -> MultichannelRecording:
     """Linear-phase FIR band-pass, then gain normalization by the input peak.
@@ -144,11 +151,7 @@ def bandpass(signal: MultichannelRecording, low_hz: float,
     normalized by its own peak; an all-zero channel stays zero.
     """
     fs = signal.sample_rate
-    nyq = fs / 2.0
-    if not (0.0 <= low_hz < high_hz <= nyq):
-        raise ValueError(
-            f"band edges must satisfy 0 <= low < high <= {nyq}, "
-            f"got [{low_hz}, {high_hz}]")
+    check_band(low_hz, high_hz, fs)
     x = signal.samples
     peak = np.max(np.abs(x), axis=-1, keepdims=True)
     n = x.shape[-1]

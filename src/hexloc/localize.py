@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -20,9 +21,8 @@ from .errors import UnlocalizableError
 PARALLEL_SIN_TOL = 1e-8
 RANSAC_PAIR_SIN_TOL = 1e-3
 RANSAC_THRESHOLD_M = 0.5
-RANSAC_ITERATIONS = 100
-# residual sums closer than this are rounding apart: a candidate built from
-# two lines has residual sum 0 up to rounding
+# inlier residual sums closer than this are rounding apart: a candidate
+# built from two lines has residual sum 0 up to rounding
 RANSAC_TIE_M = 1e-9
 IRLS_RESIDUAL_FLOOR_M = 1e-3
 IRLS_MAX_ITER = 50
@@ -86,10 +86,6 @@ class _Lines(NamedTuple):
                    np.array([ln.direction for ln in lines]),
                    tuple(ln.array_id for ln in lines))
 
-    def take(self, mask: np.ndarray) -> "_Lines":
-        return _Lines(self.anchors[mask], self.directions[mask],
-                      tuple(i for i, m in zip(self.ids, mask) if m))
-
 
 def _distances(lines: _Lines, point: np.ndarray) -> np.ndarray:
     """|n_i x (p - a_i)| for each line; ``point`` may carry leading axes,
@@ -132,7 +128,8 @@ def _weighted_normal_solve(lines: _Lines,
                            weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimize sum_i w_i * dist(p, line_i)^2 in closed form; returns the
     position and the 2x2 normal matrix. Unit weights give the least-squares
-    solve; IRLS passes its residual weights."""
+    solve, RANSAC's 0/1 inlier mask its refit (a zero term adds exactly
+    nothing); IRLS passes its residual weights."""
     d = lines.directions
     proj = np.eye(2) - d[:, :, None] * d[:, None, :]
     # summed over the lines in order, as term-by-term accumulation would
@@ -187,40 +184,24 @@ def _intersect(lines: _Lines, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 
 def solve_ransac(lines: list[BearingLine],
-                 threshold: float = RANSAC_THRESHOLD_M,
-                 iterations: int = RANSAC_ITERATIONS,
-                 seed: int = 0) -> LocalizationResult:
-    """Consensus search over random line pairs, refit on the inlier set.
+                 threshold: float = RANSAC_THRESHOLD_M) -> LocalizationResult:
+    """Consensus over every line pair, refit on the inlier set.
 
-    Ties between equal-consensus candidates break toward the lowest total
-    inlier residual; totals within ``RANSAC_TIE_M`` count as equal and keep
-    the earlier candidate. Deterministic for a fixed seed.
-
-    Each distinct ordered pair is intersected and scored once, in the order
-    the seeded draws first reach it: a pair drawn again scores as before,
-    and cannot beat a best that already beat or was it, so the draws stop
-    once every ordered pair has come up. ``iterations`` on the result is
-    the number of draws made.
+    Each unordered pair is intersected and scored once (``iterations`` on
+    the result). The most inliers win, then an inlier residual sum within
+    ``RANSAC_TIE_M`` of the smallest, then the smallest summed distance to
+    all lines: the order of the lines changes nothing beyond rounding.
     """
     lines = _check_lines(lines)
     if not threshold > 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
     stack = _Lines.of(lines)
     if len(lines) == 2:
         base = solve_mle(lines)
         return _finish(stack, base.position, "ransac", inliers=stack.ids,
                        iterations=0, condition_flag=base.condition_flag)
 
-    rng = np.random.default_rng(seed)
-    drawn = {}  # distinct ordered pairs, in the order first drawn
-    draws = 0
-    # once every ordered pair has come up, every later draw repeats one
-    while draws < iterations and len(drawn) < len(lines) * (len(lines) - 1):
-        drawn.setdefault(tuple(rng.choice(len(lines), size=2, replace=False)))
-        draws += 1
-    i, j = np.array(list(drawn), dtype=int).reshape(-1, 2).T
+    i, j = np.triu_indices(len(lines), k=1)
     # a nearly parallel pair gives no candidate
     keep = np.abs(_cross(stack.directions[i], stack.directions[j])) \
         >= RANSAC_PAIR_SIN_TOL
@@ -229,24 +210,20 @@ def solve_ransac(lines: list[BearingLine],
     candidates = _intersect(stack, i[keep], j[keep])
     dists = _distances(stack, candidates)  # (candidates, lines)
     masks = dists <= threshold
-    best = None  # (count, total, index)
-    for k, (dist, mask) in enumerate(zip(dists, masks)):
-        count, total = int(mask.sum()), float(dist[mask].sum())
-        if best is None or count > best[0] \
-                or (count == best[0] and total < best[1] - RANSAC_TIE_M):
-            best = (count, total, k)
+    counts, totals = masks.sum(1), (dists * masks).sum(1)
+    tied = counts == counts.max()
+    tied &= totals <= totals[tied].min() + RANSAC_TIE_M
+    best = np.flatnonzero(tied)[np.argmin(dists[tied].sum(1))]
 
-    mask = masks[best[2]]
-    inliers = stack.take(mask)
-    if len(inliers.ids) >= 2 \
-            and not _all_parallel(inliers.directions, PARALLEL_SIN_TOL):
-        position, m = _weighted_normal_solve(inliers,
-                                             np.ones(len(inliers.ids)))
+    mask = masks[best]
+    position, flag = candidates[best], False
+    # refit unless the inliers are all parallel, as fewer than two are
+    if not _all_parallel(stack.directions[mask], PARALLEL_SIN_TOL):
+        position, m = _weighted_normal_solve(stack, mask.astype(float))
         flag = _ill_conditioned(m)
-    else:
-        position, flag = candidates[best[2]], False
-    return _finish(stack, position, "ransac", inliers=inliers.ids,
-                   iterations=draws, condition_flag=flag)
+    return _finish(stack, position, "ransac",
+                   inliers=tuple(compress(stack.ids, mask)),
+                   iterations=len(i), condition_flag=flag)
 
 
 def solve_irls(lines: list[BearingLine]) -> LocalizationResult:

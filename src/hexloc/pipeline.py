@@ -26,7 +26,8 @@ ALL_SOLVERS = ("mle", "ransac", "irls")
 @dataclass(frozen=True)
 class PipelineConfig:
     """Parameter surface of the full pipeline. How a bearing is computed
-    is the estimate method's alone; these are its tuning and the fusion's."""
+    is the estimate method's alone; these are its tuning and the fusion's.
+    ``seed`` draws the scenes of :func:`run_eval` and nothing else."""
 
     band_hz: tuple[float, float] = dsp.DEFAULT_BAND_HZ
     upsample_factor: int = dsp.DEFAULT_UPSAMPLE
@@ -34,7 +35,6 @@ class PipelineConfig:
     grid_step_deg: float = aoa.DEFAULT_GRID_STEP_DEG
     solver: str = "irls"
     ransac_threshold_m: float = localize.RANSAC_THRESHOLD_M
-    ransac_iterations: int = localize.RANSAC_ITERATIONS
     seed: int = 0
 
     def __post_init__(self):
@@ -42,9 +42,8 @@ class PipelineConfig:
             raise ValueError(f"solver must be one of {ALL_SOLVERS}, got {self.solver!r}")
         if self.upsample_factor < 1 or self.num_windows < 1:
             raise ValueError("upsample_factor and num_windows must be >= 1")
-        if self.ransac_iterations < 1 or not self.ransac_threshold_m > 0:
-            raise ValueError("ransac_iterations must be >= 1 and "
-                             "ransac_threshold_m positive")
+        if not self.ransac_threshold_m > 0:
+            raise ValueError("ransac_threshold_m must be positive")
 
 
 def estimate_recording_aoa(rec: MultichannelRecording, array: MicArray,
@@ -88,8 +87,7 @@ def fuse_bearings(arrays: list[MicArray], estimates: list[AoaEstimate],
     lines = [BearingLine.from_azimuth(a.center, e.azimuth, array_id=a.id)
              for a, e in zip(arrays, estimates)]
     if config.solver == "ransac":
-        return localize.solve_ransac(lines, config.ransac_threshold_m,
-                                     config.ransac_iterations, config.seed)
+        return localize.solve_ransac(lines, config.ransac_threshold_m)
     if config.solver == "irls":
         return localize.solve_irls(lines)
     return localize.solve_mle(lines)

@@ -81,6 +81,11 @@ class Scene:
                 f"sample rate {self.model.sample_rate:g} Hz is too low for a "
                 f"{self.signal_kind} scene: Nyquist ({nyquist:g} Hz) is below "
                 f"the {dsp.DEFAULT_BAND_HZ[1]:g} Hz band edge")
+        fs = self.model.sample_rate
+        need = _render_margin(self)[1] + 1024  # the source keeps 1024 samples
+        if not need <= np.rint(self.duration * fs):
+            raise ValueError(f"duration {self.duration} s too short: need at "
+                             f"least {need / fs:.2f} s at {fs} Hz")
         # +inf means noiseless; NaN and -inf are no noise level
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
             raise ValueError(f"snr_db must be a number or +inf, got {self.snr_db}")
@@ -97,6 +102,15 @@ class Scene:
                 raise ValueError(
                     f"echo delay must be in [0, {MAX_ECHO_DELAY_S}] s, "
                     f"got {echo.delay_s}")
+
+
+def _render_margin(scene: Scene) -> tuple[float, float]:
+    """Base delay (s) keeping every element's shift nonnegative, and source
+    samples short of the recording, as floats: inf, not an overflow."""
+    base_s = max(2.0 * a.side_length for a in scene.arrays) \
+        / scene.model.speed_of_sound
+    return base_s, np.ceil((MAX_START_OFFSET_S + MAX_ECHO_DELAY_S + base_s)
+                           * scene.model.sample_rate) + 64.0
 
 
 @dataclass(frozen=True)
@@ -206,16 +220,8 @@ def synthesize(scene: Scene) -> tuple[list[MultichannelRecording], GroundTruth]:
     model = scene.model
     fs = model.sample_rate
     length = int(round(scene.duration * fs))
-    # base delay keeps every per-element shift nonnegative (an element may
-    # lead the array center by up to the circumradius)
-    base_s = max(2.0 * a.side_length for a in scene.arrays) / model.speed_of_sound
-    margin = int(math.ceil(
-        (MAX_START_OFFSET_S + MAX_ECHO_DELAY_S + base_s) * fs)) + 64
-    src_length = length - margin
-    if src_length < 1024:
-        raise ValueError(
-            f"duration {scene.duration} s too short: need at least "
-            f"{(margin + 1024) / fs:.2f} s at {fs} Hz")
+    base_s, margin = _render_margin(scene)
+    src_length = length - int(margin)
 
     rng = np.random.default_rng(scene.seed)
     source = _source_signal(scene, rng, src_length)

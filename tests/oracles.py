@@ -315,41 +315,40 @@ def loop_solve_mle(lines):
     return _loop_result(lines, position, "mle", condition_flag=flag)
 
 
-def loop_solve_ransac(lines, threshold, iterations, seed):
-    """One drawn pair per iteration, intersected and measured anew."""
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+def loop_solve_ransac(lines, threshold):
+    """Every unordered pair, intersected and measured anew. The most
+    inliers win, then an inlier residual sum within ``RANSAC_TIE_M`` of the
+    smallest, then the smallest summed distance to all lines."""
     if len(lines) == 2:
         base = loop_solve_mle(lines)
         return _loop_result(lines, base["position"], "ransac",
                             inliers=tuple(ln.array_id for ln in lines),
                             condition_flag=base["condition_flag"])
-    rng = np.random.default_rng(seed)
-    best = None
-    seen = set()  # the draws made are those until every ordered pair is seen
-    draws = 0
-    for _ in range(iterations):
-        i, j = rng.choice(len(lines), size=2, replace=False)
-        if len(seen) < len(lines) * (len(lines) - 1):
-            seen.add((i, j))
-            draws += 1
-        a, b = lines[i], lines[j]
-        cross = a.direction[0] * b.direction[1] - a.direction[1] * b.direction[0]
-        if abs(cross) < RANSAC_PAIR_SIN_TOL:
-            continue
-        n1 = np.array([-a.direction[1], a.direction[0]])
-        n2 = np.array([-b.direction[1], b.direction[0]])
-        candidate = np.linalg.solve(np.stack([n1, n2]),
-                                    np.array([n1 @ a.anchor, n2 @ b.anchor]))
-        dists = _loop_distances(lines, candidate)
-        mask = dists <= threshold
-        count, total = int(mask.sum()), float(dists[mask].sum())
-        if best is None or count > best[0] \
-                or (count == best[0] and total < best[1] - RANSAC_TIE_M):
-            best = (count, total, mask, candidate)
-    if best is None:
+    scored = []  # (inliers, inlier residual sum, residual sum, mask, point)
+    pairs = 0
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            pairs += 1
+            a, b = lines[i], lines[j]
+            cross = a.direction[0] * b.direction[1] \
+                - a.direction[1] * b.direction[0]
+            if abs(cross) < RANSAC_PAIR_SIN_TOL:
+                continue
+            n1 = np.array([-a.direction[1], a.direction[0]])
+            n2 = np.array([-b.direction[1], b.direction[0]])
+            candidate = np.linalg.solve(
+                np.stack([n1, n2]), np.array([n1 @ a.anchor, n2 @ b.anchor]))
+            dists = _loop_distances(lines, candidate)
+            mask = dists <= threshold
+            scored.append((int(mask.sum()), float(dists[mask].sum()),
+                           float(dists.sum()), mask, candidate))
+    if not scored:
         raise UnlocalizableError("no bearing pair produced an intersection")
-    _, _, mask, candidate = best
+    most = max(s[0] for s in scored)
+    scored = [s for s in scored if s[0] == most]
+    least = min(s[1] for s in scored)
+    scored = [s for s in scored if s[1] <= least + RANSAC_TIE_M]
+    _, _, _, mask, candidate = min(scored, key=lambda s: s[2])
     inlier_lines = [ln for ln, m in zip(lines, mask) if m]
     if len(inlier_lines) >= 2 \
             and not _loop_all_parallel(inlier_lines, PARALLEL_SIN_TOL):
@@ -360,7 +359,7 @@ def loop_solve_ransac(lines, threshold, iterations, seed):
     return _loop_result(
         lines, position, "ransac",
         inliers=tuple(ln.array_id for ln, m in zip(lines, mask) if m),
-        iterations=draws, condition_flag=flag)
+        iterations=pairs, condition_flag=flag)
 
 
 def loop_solve_irls(lines):

@@ -122,7 +122,7 @@ def test_criterion_4_exact_triangulation():
         if max(crosses) < 0.05:
             continue  # near-parallel draw: covered by the degenerate check
         for solve in (solve_mle, solve_irls,
-                      lambda ls: solve_ransac(ls, 0.5, 40, seed=7)):
+                      lambda ls: solve_ransac(ls, 0.5)):
             position = solve(lines).position
             assert float(np.linalg.norm(position - target)) < 1e-9
         solved += 1
@@ -130,7 +130,7 @@ def test_criterion_4_exact_triangulation():
     parallel = [BearingLine.from_azimuth((0.0, float(i)), 0.4,
                                          array_id=str(i)) for i in range(3)]
     for solve in (solve_mle, solve_irls,
-                  lambda ls: solve_ransac(ls, 0.5, 40, seed=7)):
+                  lambda ls: solve_ransac(ls, 0.5)):
         with pytest.raises(UnlocalizableError):
             solve(parallel)
 
@@ -153,7 +153,7 @@ def test_criterion_5_robust_solvers_vs_outlier():
         errors["mle"].append(np.linalg.norm(
             solve_mle(lines).position - target))
         errors["ransac"].append(np.linalg.norm(
-            solve_ransac(lines, 0.5, 100, seed=trial).position - target))
+            solve_ransac(lines, 0.5).position - target))
         errors["irls"].append(np.linalg.norm(
             solve_irls(lines).position - target))
     ransac_median = float(np.median(errors["ransac"]))
@@ -170,7 +170,7 @@ def test_criterion_5_robust_solvers_vs_outlier():
         lines = [bearing_to((0.0, 0.0), tuple(target), array_id="a"),
                  bearing_to((6.0, 0.0), tuple(target), array_id="b")]
         p_mle = solve_mle(lines).position
-        p_ransac = solve_ransac(lines, 0.5, 50, seed=trial).position
+        p_ransac = solve_ransac(lines, 0.5).position
         p_irls = solve_irls(lines).position
         assert float(np.linalg.norm(p_ransac - p_mle)) < 1e-9
         assert float(np.linalg.norm(p_irls - p_mle)) < 1e-9

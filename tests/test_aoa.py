@@ -350,7 +350,8 @@ def test_covariance_stack_hermitian_psd():
 def test_covariance_stack_band_validation():
     array = build_hex_array((0.0, 0.0), 0.0, array_id="A")
     rec, _ = scene_recording(array, 10.0, seed=13, snr_db=10.0)
-    with pytest.raises(ValueError):
+    # the band rule and its message are dsp.bandpass's
+    with pytest.raises(ValueError, match="band edges must satisfy"):
         covariance_stack(rec, band_hz=(3500.0, 300.0))
 
 

@@ -410,18 +410,20 @@ def test_invalid_pipeline_flag_exit_2(tmp_path, capsys, command):
         assert cli.main(argv + [flag, "0"]) == cli.EXIT_USAGE
         assert "must be >= 1" in capsys.readouterr().err
     if command != "aoa":  # aoa takes no fusion flags
-        for flag in ("--ransac-iterations", "--ransac-threshold-m"):
-            assert cli.main(argv + [flag, "0"]) == cli.EXIT_USAGE
-            assert "invalid pipeline flags" in capsys.readouterr().err
+        assert cli.main(argv + ["--ransac-threshold-m", "0"]) \
+            == cli.EXIT_USAGE
+        assert "invalid pipeline flags" in capsys.readouterr().err
 
 
 FUSION_FLAGS = (("--solver", "ransac", "solver", "ransac"),
-                ("--ransac-threshold-m", "0.25", "ransac_threshold_m", 0.25),
-                ("--ransac-iterations", "7", "ransac_iterations", 7),
-                ("--seed", "1", "seed", 1))
+                ("--ransac-threshold-m", "0.25", "ransac_threshold_m", 0.25))
+# eval's scene draws; RANSAC scores every pair, so it draws nothing
+SEED_FLAG = ("--seed", "1", "seed", 1)
+RETIRED_FLAG = ("--ransac-iterations", "7")
 
 
-@pytest.mark.parametrize("flag,value", [f[:2] for f in FUSION_FLAGS])
+@pytest.mark.parametrize("flag,value", [f[:2] for f in FUSION_FLAGS]
+                         + [SEED_FLAG[:2], RETIRED_FLAG])
 def test_aoa_rejects_fusion_flags(capsys, flag, value):
     # one bearing is never fused, so aoa declares no fusion flag
     assert cli.main(["aoa", "missing.wav", "missing.json", flag, value]) \
@@ -429,13 +431,25 @@ def test_aoa_rejects_fusion_flags(capsys, flag, value):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    (["localize", "manifest.json"], *SEED_FLAG[:2]),
+    (["localize", "manifest.json"], *RETIRED_FLAG),
+    (["eval"], *RETIRED_FLAG)],
+    ids=["localize-seed", "localize-ransac-iterations",
+         "eval-ransac-iterations"])
+def test_retired_flags_rejected(capsys, command, flag, value):
+    assert cli.main(command + [flag, value]) == cli.EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [["localize", "manifest.json"], ["eval"]])
 def test_fusion_flags_reach_the_config(command):
+    flags = FUSION_FLAGS + ((SEED_FLAG,) if command == ["eval"] else ())
     argv = list(command)
-    for flag, value, _, _ in FUSION_FLAGS:
+    for flag, value, _, _ in flags:
         argv += [flag, value]
     config = cli._config_from_args(cli._parser().parse_args(argv))
-    for _, _, name, want in FUSION_FLAGS:
+    for _, _, name, want in flags:
         assert getattr(config, name) == want
 
 

@@ -166,11 +166,12 @@ def test_invalid_json_names_the_file(tmp_path):
     (("arrays", 0, "side_length_m"), -1, "key 'side_length_m'"),
     (("arrays", 0, "side_length_m"), 1e999, "key 'side_length_m'"),
     (("arrays", 0, "orientation_rad"), 1e999, "key 'orientation_rad'"),
+    (("arrays", 0, "side_length_m"), 1e308, "too short"),
 ], ids=["duration-negative", "signal-kind-null", "source-on-array",
         "tone-zero", "tone-nan", "tone-at-nyquist", "snr-nan", "snr-minus-inf",
         "echo-azimuth-nan", "id-outside-out-dir", "id-repeated", "id-nul",
         "id-null", "id-number", "id-object", "side-zero", "side-negative",
-        "side-inf", "orientation-inf"])
+        "side-inf", "orientation-inf", "side-huge"])
 def test_scene_range_error_names_the_key(scene_dir, path, value, named):
     with pytest.raises(SceneConfigError) as info:
         hio.parse_scene(substituted(SCENE, path, value), "scene.json",

@@ -31,15 +31,17 @@ def test_config_rejects_bad_solver():
         PipelineConfig(solver="gradient-descent")
 
 
-def test_config_has_eight_settable_fields():
+def test_config_has_seven_settable_fields():
     # the estimate method alone decides how a bearing is computed: the
-    # config holds its tuning and the fusion's, and no mode switch
+    # config holds its tuning and the fusion's, and no mode switch; RANSAC
+    # scores every pair, so it takes no draw budget
     assert [f.name for f in fields(PipelineConfig)] == [
         "band_hz", "upsample_factor", "num_windows", "grid_step_deg",
-        "solver", "ransac_threshold_m", "ransac_iterations", "seed"]
+        "solver", "ransac_threshold_m", "seed"]
     assert not [name for name, value in vars(PipelineConfig).items()
                 if isinstance(value, property)]
-    for retired in ("strict_paper_mode", "window_count", "weighted_matcher"):
+    for retired in ("strict_paper_mode", "window_count", "weighted_matcher",
+                    "ransac_iterations"):
         with pytest.raises(TypeError):
             PipelineConfig(**{retired: 1})
 
