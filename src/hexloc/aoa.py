@@ -127,9 +127,14 @@ def _bearing(angles_deg: np.ndarray, scores: np.ndarray, method: AoaMethod,
 
 
 def _azimuth_grid(grid_step_deg: float) -> np.ndarray:
-    if not 0.0 < grid_step_deg <= 5.0:
-        raise ValueError(f"grid_step_deg must be in (0, 5], got {grid_step_deg}")
-    return np.arange(0.0, 360.0, grid_step_deg)
+    """The grid angles from 0 degrees on. The step must divide 360 degrees
+    (up to rounding): the peak refinement takes the last angle's circular
+    neighbour, 0 degrees, to lie one step on."""
+    count = round(360.0 / grid_step_deg) if 0.0 < grid_step_deg <= 5.0 else 0
+    if not count or abs(count * grid_step_deg - 360.0) > 1e-9 * 360.0:
+        raise ValueError(f"grid_step_deg must be in (0, 5] and divide 360, "
+                         f"got {grid_step_deg}")
+    return np.arange(count) * grid_step_deg
 
 
 def estimate_aoa_gcc(delays: DelayVector, array: MicArray,

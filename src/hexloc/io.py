@@ -31,28 +31,45 @@ _SAMPLE_DTYPES = {(_PCM, 1): "u1", (_PCM, 2): "<i2", (_PCM, 3): "3u1",
                   (_IEEE_FLOAT, 8): "<f8"}
 
 
-def wav_sample_rate(rate: float) -> int:
-    """The sample rate as a WAV header stores it, a whole number of Hz; a
-    fractional rate raises ValueError rather than being truncated."""
+def wav_sample_rate(rate: float, channels: int) -> int:
+    """The sample rate as a WAV header stores it, a whole number of Hz whose
+    byte rate for ``channels`` 32-bit channels fits the header's 32-bit
+    field; any other rate raises ValueError rather than being truncated."""
     if not float(rate).is_integer():
         raise ValueError(
             f"a WAV file stores a whole number of Hz, got {rate!r} Hz")
+    if rate * 4 * channels > 0xFFFFFFFF:
+        raise ValueError(
+            f"{rate:.0f} Hz of {channels} 32-bit channels exceeds the byte "
+            f"rate a WAV header stores")
     return int(rate)
+
+
+def _check_wav_size(frames: float, channels: int) -> None:
+    """Refuse a frame of ``channels`` 32-bit samples larger than a WAV
+    header stores, or more ``frames`` (a float, infinite too) than the
+    4 GiB of a RIFF WAV file hold."""
+    if 4 * channels > 0xFFFF:
+        raise ValueError(f"{channels} channels of 32 bits exceed the frame "
+                         "size a WAV header stores")
+    if frames * 4 * channels > 0xFFFFFFFF - 50:
+        raise ValueError(f"{frames:.0f} frames of {channels} channels exceed "
+                         "the 4 GiB of a RIFF WAV file")
 
 
 def write_wav(path, rec: MultichannelRecording) -> None:
     """Write a recording as 32-bit float WAV, channels ordered by element.
 
     The bytes are those of ``scipy.io.wavfile.write`` for the float32
-    matrix: an 18-byte fmt chunk, a fact chunk, then the data chunk.
+    matrix: an 18-byte fmt chunk, a fact chunk, then the data chunk. A
+    recording whose rate or size a header field cannot hold raises
+    ValueError before anything is written.
     """
-    rate = wav_sample_rate(rec.sample_rate)
     channels, frames = rec.samples.shape
+    rate = wav_sample_rate(rec.sample_rate, channels)
+    _check_wav_size(frames, channels)
     data = np.empty((frames, channels), "<f4")
     data[...] = rec.samples.T
-    if data.nbytes > 0xFFFFFFFF - 50:
-        raise ValueError(f"{frames} frames of {channels} channels exceed "
-                         "the 4 GiB of a RIFF WAV file")
     header = struct.pack("<4sI4s4sIHHIIHHH4sII4sI",
                          b"RIFF", 50 + data.nbytes, b"WAVE",
                          b"fmt ", 18, _IEEE_FLOAT, channels, rate,
@@ -211,20 +228,20 @@ def _propagation_model(config: dict, context: str) -> PropagationModel:
                 positive=True))
 
 
-def _id_rule(check, value, context: str):
-    """``value``, unless the geometry id rule ``check`` refuses it; the
-    error then names the file and the key."""
+def _key_rule(key: str, context: str, check, *args):
+    """``args[0]``, unless the rule ``check(*args)`` refuses it; the error
+    then names the file and the key."""
     try:
-        check(value)
+        check(*args)
     except ValueError as exc:
-        raise SceneConfigError(f"key 'id' in {context}: {exc}") from None
-    return value
+        raise SceneConfigError(f"key '{key}' in {context}: {exc}") from None
+    return args[0]
 
 
 def parse_array(entry: dict, context: str = "array entry") -> MicArray:
     _typed(entry, dict, context)
-    array_id = _id_rule(geometry.check_id, _require(entry, "id", context, str),
-                        context)
+    array_id = _key_rule("id", context, geometry.check_id,
+                         _require(entry, "id", context, str))
     return MicArray(array_id, _point(entry, "center_m", context),
                     _finite(entry, "orientation_rad", context),
                     _finite(entry, "side_length_m", context,
@@ -240,9 +257,9 @@ def load_arrays(path) -> tuple[MicArray, ...]:
     entries = _typed(_load_json(path), list, str(path))
     if not entries:
         raise SceneConfigError(f"{path} lists no array spec")
-    return _id_rule(geometry.check_distinct_ids,
-                    tuple(parse_array(a, f"{path}[{k}]")
-                          for k, a in enumerate(entries)), str(path))
+    return _key_rule("id", str(path), geometry.check_distinct_ids,
+                     tuple(parse_array(a, f"{path}[{k}]")
+                           for k, a in enumerate(entries)))
 
 
 def _echo(entry, context: str) -> Echo:
@@ -252,8 +269,8 @@ def _echo(entry, context: str) -> Echo:
 
 def parse_scene(config: dict, context: str = "scene config",
                 base_dir=None) -> Scene:
-    """A scene from its JSON config. The sample rate must be one a WAV
-    header can store, since the scene is rendered to WAV files."""
+    """A scene from its JSON config. Its sample rate and duration must fit
+    the WAV files it is rendered to, which is checked before rendering."""
     _typed(config, dict, context)
     raw_arrays = _require(config, "arrays", context)
     if not isinstance(raw_arrays, list) or not raw_arrays:
@@ -267,11 +284,9 @@ def parse_scene(config: dict, context: str = "scene config",
                 f"key 'source_m' in {context}: source coincides with array "
                 f"{array.id!r}")
     model = _propagation_model(config, context)
-    try:
-        wav_sample_rate(model.sample_rate)
-    except ValueError as exc:
-        raise SceneConfigError(
-            f"key 'sample_rate_hz' in {context}: {exc}") from None
+    channels = max(a.num_elements for a in arrays)
+    _key_rule("sample_rate_hz", context, wav_sample_rate, model.sample_rate,
+              channels)
     signal = _typed(config.get("signal", {}), dict, f"key 'signal' in {context}")
     kind = signal.get("kind", "speech")
     if kind not in sim.SIGNAL_KINDS:
@@ -297,6 +312,9 @@ def parse_scene(config: dict, context: str = "scene config",
         else _number(config, "snr_db", context)
     duration = _finite(config, "duration_s", context, sim.DEFAULT_DURATION_S,
                        positive=True)
+    # the frames synthesize renders
+    _key_rule("duration_s", context, _check_wav_size,
+              np.rint(duration * model.sample_rate), channels)
     seed = config.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise SceneConfigError(
@@ -372,5 +390,5 @@ def load_manifest(path) -> tuple[list[MicArray], list[Path],
         wavs.append(path.parent / _require(entry, "wav", context, str))
     model = _propagation_model(manifest, str(path))
     declared = model.sample_rate if "sample_rate_hz" in manifest else None
-    return (_id_rule(geometry.check_distinct_ids, arrays, str(path)), wavs,
-            model, declared)
+    return (_key_rule("id", str(path), geometry.check_distinct_ids, arrays),
+            wavs, model, declared)

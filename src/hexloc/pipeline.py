@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -133,12 +133,20 @@ class EvalSummary:
             raise ValueError("median cannot exceed the 90th percentile")
 
 
+SUMMARY_FIELDS = tuple(f.name for f in fields(EvalSummary))
+AOA_TRIAL_FIELDS = ("trial", "method", "array_id", "error_deg", "status")
+LOC_TRIAL_FIELDS = ("trial", "method", "solver", "error_m", "status")
+RESULT_FIELDS = ("record", "array_id", "x_m", "y_m", "azimuth_deg",
+                 "residual_m", "inlier", "behind_anchor")
+
+
 @dataclass
 class EvalRows:
-    """Raw per-trial records backing the summary tables."""
+    """Raw per-trial records backing the summary tables, keyed by
+    ``AOA_TRIAL_FIELDS`` and ``LOC_TRIAL_FIELDS``."""
 
-    aoa: list[dict] = field(default_factory=list)   # trial, method, array_id, error_deg, status
-    loc: list[dict] = field(default_factory=list)   # trial, method, solver, error_m, status
+    aoa: list[dict] = field(default_factory=list)
+    loc: list[dict] = field(default_factory=list)
 
 
 def run_eval(n_trials: int, bounds: tuple[float, float, float, float],
@@ -168,7 +176,7 @@ def run_eval(n_trials: int, bounds: tuple[float, float, float, float],
         filtered = map_tasks(
             lambda rec: dsp.bandpass_recording(rec, *config.band_hz),
             recordings)
-        # (array, method) order: array a's estimates are a slice of len(methods)
+        # (array, method) order: method m's are estimates[m::len(methods)]
         estimates = map_tasks(
             lambda job: _estimate_or_none(*job, config, scene.model),
             [(rec, array, method)
@@ -176,23 +184,21 @@ def run_eval(n_trials: int, bounds: tuple[float, float, float, float],
              for method in methods])
         for m, method in enumerate(methods):
             usable = []
-            for a, array in enumerate(scene.arrays):
-                est = estimates[a * len(methods) + m]
+            for array, est in zip(scene.arrays, estimates[m::len(methods)]):
                 if est is None:
                     err, status = math.nan, "error"
                 else:
                     err, status = circular_error_deg(
                         est.azimuth_deg, truth.azimuth_deg[array.id]), "ok"
                     usable.append((array, est))
-                rows.aoa.append({"trial": t, "method": method.value,
-                                 "array_id": array.id, "error_deg": err,
-                                 "status": status})
+                rows.aoa.append(dict(zip(AOA_TRIAL_FIELDS, (
+                    t, method.value, array.id, err, status))))
             for solver in solvers:
                 err = _localization_error(usable, replace(config, solver=solver),
                                           truth.source)
-                rows.loc.append({"trial": t, "method": method.value,
-                                 "solver": solver, "error_m": err,
-                                 "status": "error" if math.isnan(err) else "ok"})
+                rows.loc.append(dict(zip(LOC_TRIAL_FIELDS, (
+                    t, method.value, solver, err,
+                    "error" if math.isnan(err) else "ok"))))
     return rows
 
 
@@ -225,50 +231,41 @@ def summarize(rows: EvalRows) -> list[EvalSummary]:
     methods = sorted({r["method"] for r in rows.loc})
     solvers = sorted({r["solver"] for r in rows.loc})
     for method in methods:
-        aoa_errs = np.array([r["error_deg"] for r in rows.aoa
-                             if r["method"] == method and r["status"] == "ok"])
+        aoa_errs = [r["error_deg"] for r in rows.aoa
+                    if r["method"] == method and r["status"] == "ok"]
         for solver in solvers:
-            loc_errs = np.array([r["error_m"] for r in rows.loc
-                                 if r["method"] == method
-                                 and r["solver"] == solver
-                                 and r["status"] == "ok"])
+            loc_errs = [r["error_m"] for r in rows.loc
+                        if r["method"] == method and r["solver"] == solver
+                        and r["status"] == "ok"]
             trials = len({r["trial"] for r in rows.loc
                           if r["method"] == method and r["solver"] == solver})
-            summaries.append(EvalSummary(
-                method=method, solver=solver, trials=trials,
-                aoa_mean_deg=_stat(aoa_errs, np.mean),
-                aoa_median_deg=_stat(aoa_errs, np.median),
-                aoa_p90_deg=_stat(aoa_errs, lambda v: np.percentile(v, 90)),
-                loc_mean_m=_stat(loc_errs, np.mean),
-                loc_median_m=_stat(loc_errs, np.median),
-                loc_p90_m=_stat(loc_errs, lambda v: np.percentile(v, 90))))
+            summaries.append(EvalSummary(method, solver, trials,
+                                         *_stats(aoa_errs), *_stats(loc_errs)))
     return summaries
 
 
-def _stat(values: np.ndarray, fn) -> float:
-    return float(fn(values)) if values.size else math.nan
+def _stats(values: list[float]) -> tuple[float, float, float]:
+    """Mean, median and 90th percentile; NaN each for no values."""
+    if not values:
+        return math.nan, math.nan, math.nan
+    v = np.array(values)
+    return float(np.mean(v)), float(np.median(v)), float(np.percentile(v, 90))
 
 
-AOA_TRIAL_FIELDS = ("trial", "method", "array_id", "error_deg", "status")
-LOC_TRIAL_FIELDS = ("trial", "method", "solver", "error_m", "status")
-SUMMARY_FIELDS = ("method", "solver", "trials", "aoa_mean_deg",
-                  "aoa_median_deg", "aoa_p90_deg", "loc_mean_m",
-                  "loc_median_m", "loc_p90_m")
-
-
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _csv(header, rows) -> str:
+    """A table as CSV text: a float cell, a numpy scalar's too, is written
+    as its Python float's repr, which reads back to the same float; any
+    other cell as its str."""
+    buf = _io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(float(v)) if isinstance(v, float) else str(v)
+                      for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def rows_to_csv(records: list[dict], fields: tuple[str, ...]) -> str:
-    buf = _io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-    writer.writeheader()
-    for record in records:
-        writer.writerow({k: _format_value(record[k]) for k in fields})
-    return buf.getvalue()
+    return _csv(fields, ([r[k] for k in fields] for r in records))
 
 
 def csv_to_rows(text: str) -> list[dict]:
@@ -288,8 +285,7 @@ def csv_to_rows(text: str) -> list[dict]:
 
 
 def summaries_to_csv(summaries: list[EvalSummary]) -> str:
-    records = [{f: getattr(s, f) for f in SUMMARY_FIELDS} for s in summaries]
-    return rows_to_csv(records, SUMMARY_FIELDS)
+    return _csv(SUMMARY_FIELDS, map(astuple, summaries))
 
 
 def summary_table(summaries: list[EvalSummary]) -> str:
@@ -305,27 +301,15 @@ def summary_table(summaries: list[EvalSummary]) -> str:
 
 
 def spectrum_to_csv(spectrum: AoaSpectrum) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["angle_deg", "score"])
-    for angle, score in zip(spectrum.angles_deg, spectrum.scores):
-        writer.writerow([repr(float(angle)), repr(float(score))])
-    return buf.getvalue()
+    return _csv(("angle_deg", "score"),
+                zip(spectrum.angles_deg, spectrum.scores))
 
 
 def result_to_csv(result: LocalizationResult, arrays: list[MicArray],
                   estimates: list[AoaEstimate]) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["record", "array_id", "x_m", "y_m", "azimuth_deg",
-                     "residual_m", "inlier", "behind_anchor"])
-    writer.writerow(["position", "", repr(float(result.position[0])),
-                     repr(float(result.position[1])), "", "", "", ""])
-    for array, est, residual in zip(arrays, estimates, result.residuals):
-        writer.writerow([
-            "bearing", array.id, repr(float(array.center[0])),
-            repr(float(array.center[1])), repr(est.azimuth_deg),
-            repr(float(residual)),
-            str(array.id in result.inliers) if result.inliers else "",
-            str(array.id in result.behind_anchors)])
-    return buf.getvalue()
+    position = ("position", "", *result.position, "", "", "", "")
+    bearings = (("bearing", a.id, *a.center, e.azimuth_deg, residual,
+                 a.id in result.inliers if result.inliers else "",
+                 a.id in result.behind_anchors)
+                for a, e, residual in zip(arrays, estimates, result.residuals))
+    return _csv(RESULT_FIELDS, [position, *bearings])

@@ -28,6 +28,8 @@ MAX_ECHO_DELAY_S = 0.1
 TAPER_S = 0.02
 RANGE_LIMITS_M = (0.47, 5.2)
 DEFAULT_DURATION_S = 1.06
+# below this the noise-to-signal power ratio 10 ** (-snr_db / 10) is no float
+MIN_SNR_DB = -10.0 * math.log10(np.finfo(float).max)
 SYLLABIC_RATE_HZ = 4.0
 # bins per block of the factored delay ramp: a power of two near the root of
 # the rendered bin count (32769 at 1.06 s), so both tables stay small and
@@ -67,10 +69,15 @@ class Scene:
         if self.source.shape != (2,) or not np.all(np.isfinite(self.source)):
             raise ValueError(f"source must be a finite 2D point, "
                              f"got {self.source}")
-        if not self.duration > 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        fs = self.model.sample_rate
+        if not 0 < self.duration * fs < math.inf:
+            raise ValueError(f"duration must be positive and span a finite "
+                             f"number of samples at {fs:g} Hz, got "
+                             f"{self.duration}")
         if self.signal_kind not in SIGNAL_KINDS:
             raise ValueError(f"unknown signal_kind {self.signal_kind!r}")
+        if self.signal_kind == "file" and self.source_samples is None:
+            raise ValueError("signal_kind 'file' requires source_samples")
         nyquist = self.model.sample_rate / 2.0
         if self.signal_kind == "tone" and not 0.0 < self.tone_hz < nyquist:
             raise ValueError(f"tone_hz must be above 0 and below Nyquist "
@@ -81,14 +88,15 @@ class Scene:
                 f"sample rate {self.model.sample_rate:g} Hz is too low for a "
                 f"{self.signal_kind} scene: Nyquist ({nyquist:g} Hz) is below "
                 f"the {dsp.DEFAULT_BAND_HZ[1]:g} Hz band edge")
-        fs = self.model.sample_rate
         need = _render_margin(self)[1] + 1024  # the source keeps 1024 samples
         if not need <= np.rint(self.duration * fs):
             raise ValueError(f"duration {self.duration} s too short: need at "
                              f"least {need / fs:.2f} s at {fs} Hz")
-        # +inf means noiseless; NaN and -inf are no noise level
-        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
-            raise ValueError(f"snr_db must be a number or +inf, got {self.snr_db}")
+        # +inf means noiseless; NaN, -inf and levels whose noise power
+        # overflows are no noise level
+        if not self.snr_db > MIN_SNR_DB:
+            raise ValueError(f"snr_db must be +inf or a number above "
+                             f"{MIN_SNR_DB:.1f}, got {self.snr_db}")
         for arr in self.arrays:
             if np.allclose(self.source, arr.center):
                 raise ValueError(f"source coincides with array {arr.id!r}")
@@ -140,14 +148,11 @@ def _source_signal(scene: Scene, rng: np.random.Generator,
         return np.sin(2.0 * math.pi * (f0 * t + (f1 - f0) / (2 * duration) * t * t))
     if kind == "tone":
         return np.sin(2.0 * math.pi * scene.tone_hz * t)
-    if kind == "file":
-        if scene.source_samples is None:
-            raise ValueError("signal_kind 'file' requires source_samples")
-        src = np.asarray(scene.source_samples, dtype=float)
-        if src.size >= length:
-            return src[:length]
-        return np.pad(src, (0, length - src.size))
-    raise ValueError(f"unknown signal_kind {kind!r}")
+    # kind == "file"
+    src = np.asarray(scene.source_samples, dtype=float)
+    if src.size >= length:
+        return src[:length]
+    return np.pad(src, (0, length - src.size))
 
 
 def _delay_ramp(shift: np.ndarray, bin_hz: float,

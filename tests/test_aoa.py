@@ -107,9 +107,22 @@ def test_gcc_grid_step_bounds():
     array = build_hex_array((0.0, 0.0), 0.0, array_id="A")
     delays = DelayVector(pairs=[(0, 1)], delays=[[0.0]], peak_scores=[[1.0]],
                          low_confidence=[[False]], source_array="A")
-    for bad in (0.0, 5.5, -1.0):
-        with pytest.raises(ValueError):
+    # 0.7 degrees does not divide 360: the grid would end 0.2 degrees short
+    # of its circular neighbour, 0 degrees
+    for bad in (0.0, 5.5, -1.0, 0.7):
+        with pytest.raises(ValueError, match="grid_step_deg"):
             estimate_aoa_gcc(delays, array, MODEL, grid_step_deg=bad)
+
+
+@pytest.mark.parametrize("azimuth_deg", [-0.191, 0.191])
+def test_gcc_refines_across_zero_degrees(azimuth_deg):
+    # the last grid angle and 0 degrees are neighbours one step apart at a
+    # step that divides 360 but is no whole degree; at 0.7 degrees, had it
+    # been accepted, these bearings were 0.29 and 0.31 degrees off
+    array = build_hex_array((0.0, 0.0), 0.0, array_id="A")
+    rec, truth = scene_recording(array, azimuth_deg, snr_db=30.0, seed=3)
+    _, est = gcc_estimate(rec, array, grid_step_deg=0.9)
+    assert circular_error_deg(est.azimuth_deg, truth.azimuth_deg["A"]) < 0.01
 
 
 def test_gcc_global_frame_consistency():

@@ -340,6 +340,16 @@ def test_write_wav_rejects_fractional_rate(tmp_path):
     assert not (tmp_path / "x.wav").exists()
 
 
+@pytest.mark.parametrize("channels, rate, named", [
+    (6, 2e8, "byte rate"), (16384, 8000.0, "frame size")])
+def test_write_wav_refuses_a_header_field_that_does_not_fit(tmp_path, channels,
+                                                            rate, named):
+    rec = MultichannelRecording(np.zeros((channels, 4)), rate)
+    with pytest.raises(ValueError, match=named):
+        hio.write_wav(tmp_path / "x.wav", rec)
+    assert not (tmp_path / "x.wav").exists()
+
+
 @settings(max_examples=50, deadline=None)
 @given(channels=st.integers(1, 6), length=st.integers(2, 64),
        rate=st.integers(1, 192000), seed=st.integers(0, 2 ** 32 - 1))

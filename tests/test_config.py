@@ -167,11 +167,17 @@ def test_invalid_json_names_the_file(tmp_path):
     (("arrays", 0, "side_length_m"), 1e999, "key 'side_length_m'"),
     (("arrays", 0, "orientation_rad"), 1e999, "key 'orientation_rad'"),
     (("arrays", 0, "side_length_m"), 1e308, "too short"),
+    # refused before rendering, which would not end or not fit a WAV file
+    (("duration_s",), 1e308, "key 'duration_s'"),
+    (("duration_s",), 1e6, "key 'duration_s'"),
+    (("sample_rate_hz",), 2e8, "key 'sample_rate_hz'"),
+    (("snr_db",), -1e308, "snr_db"),
 ], ids=["duration-negative", "signal-kind-null", "source-on-array",
         "tone-zero", "tone-nan", "tone-at-nyquist", "snr-nan", "snr-minus-inf",
         "echo-azimuth-nan", "id-outside-out-dir", "id-repeated", "id-nul",
         "id-null", "id-number", "id-object", "side-zero", "side-negative",
-        "side-inf", "orientation-inf", "side-huge"])
+        "side-inf", "orientation-inf", "side-huge", "duration-overflow",
+        "duration-over-4-gib", "rate-over-byte-rate", "snr-overflow"])
 def test_scene_range_error_names_the_key(scene_dir, path, value, named):
     with pytest.raises(SceneConfigError) as info:
         hio.parse_scene(substituted(SCENE, path, value), "scene.json",

@@ -35,6 +35,13 @@ def test_scene_validation():
               echoes=((0.01, 1.5, 30.0),))  # gain >= 1
     with pytest.raises(ValueError):
         Scene(arrays=(array,), source=(0.0, 0.0), signal_kind="square")
+    # what synthesize could not render is refused here, not there
+    with pytest.raises(ValueError, match="finite number of samples"):
+        Scene(arrays=(array,), source=(0.0, 0.0), duration=1e308)
+    with pytest.raises(ValueError, match="snr_db"):
+        Scene(arrays=(array,), source=(0.0, 0.0), snr_db=-1e308)
+    with pytest.raises(ValueError, match="requires source_samples"):
+        Scene(arrays=(array,), source=(0.0, 0.0), signal_kind="file")
     for source in ((math.nan, 1.0), (1.0, math.inf)):
         with pytest.raises(ValueError, match="source must be a finite 2D point"):
             Scene(arrays=(array,), source=source)
